@@ -54,8 +54,10 @@
 //
 //	sudbench -experiment tenant --tenants 4 --conns 4 --json BENCH_tenant.json
 //
-// Measurements run in deterministic virtual time; see EXPERIMENTS.md for the
-// recorded paper-vs-measured comparison.
+// An unknown -experiment name exits 2 and lists the valid ones.
+//
+// Measurements run in deterministic virtual time; bench/perf/README.md
+// describes the end-to-end benchmark and what each of its metrics measures.
 package main
 
 import (
@@ -63,6 +65,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 
 	"sud/internal/attack"
 	"sud/internal/diskperf"
@@ -75,8 +79,20 @@ import (
 	"sud/internal/trace"
 )
 
+// experiments lists every -experiment name in the order "all" runs them.
+var experiments = []string{"fig5", "fig8", "fig9", "multiflow", "blk", "latency", "tenant", "security"}
+
+// checkExperiment rejects a name that would run nothing, so a typo fails
+// loudly instead of printing nothing and exiting 0.
+func checkExperiment(name string) error {
+	if name == "all" || slices.Contains(experiments, name) {
+		return nil
+	}
+	return fmt.Errorf("unknown -experiment %q (valid: %s, all)", name, strings.Join(experiments, ", "))
+}
+
 func main() {
-	exp := flag.String("experiment", "all", "fig5 | fig8 | fig9 | security | multiflow | blk | latency | tenant | all")
+	exp := flag.String("experiment", "all", strings.Join(experiments, " | ")+" | all")
 	window := flag.Int("window-ms", 200, "measurement window (virtual milliseconds)")
 	queues := flag.Int("queues", 4, "multiflow/blk: uchan ring pairs / hardware queues")
 	flows := flag.Int("flows", 6, "multiflow: concurrent UDP flows")
@@ -100,6 +116,10 @@ func main() {
 	tracePath := flag.String("trace", "",
 		"multiflow/blk: enable the span recorder and write the hops as Chrome trace-event JSON to this file")
 	flag.Parse()
+	if err := checkExperiment(*exp); err != nil {
+		fmt.Fprintf(os.Stderr, "sudbench: %v\n", err)
+		os.Exit(2)
+	}
 
 	// Span collection for --trace: each traced testbed's machine records
 	// into its own ring; the runs execute sequentially, so appending in run

@@ -191,6 +191,12 @@ type NIC struct {
 	rxActive    [MaxRxQueues]bool
 	rxBusyUntil [MaxRxQueues]sim.Time
 
+	// Engine DMA buffers. Each engine step runs to completion before the
+	// next is scheduled, so one set serves every queue; ethlink.Send
+	// copies the frame it is handed.
+	txDesc, rxDesc [DescSize]byte
+	txFrame        [ethlink.MaxFrame]byte
+
 	// Interrupt moderation.
 	lastIntAt  sim.Time
 	intPending bool
@@ -519,7 +525,8 @@ func (n *NIC) txStep(q int) {
 	descAddr := n.txBase(q) + mem.Addr(head*DescSize)
 	engine := n.params.TxPerPacket
 
-	desc, err := n.DMAReadQ(q+1, descAddr, DescSize)
+	desc := n.txDesc[:]
+	err := n.DMAReadIntoQ(q+1, descAddr, desc)
 	engine += sim.DMA(DescSize)
 	if err != nil {
 		n.DMAFaults++
@@ -531,7 +538,8 @@ func (n *NIC) txStep(q int) {
 	cmd := desc[11]
 
 	if length > 0 && length <= ethlink.MaxFrame {
-		payload, err := n.DMAReadQ(q+1, bufAddr, length)
+		payload := n.txFrame[:length]
+		err := n.DMAReadIntoQ(q+1, bufAddr, payload)
 		engine += sim.DMA(length)
 		if err != nil {
 			n.DMAFaults++
@@ -661,7 +669,8 @@ func (n *NIC) rxStep(q int) {
 
 	engine := n.params.RxPerPacket
 	descAddr := n.rxBase(q) + mem.Addr(head*DescSize)
-	desc, err := n.DMAReadQ(q+1, descAddr, DescSize)
+	desc := n.rxDesc[:]
+	err := n.DMAReadIntoQ(q+1, descAddr, desc)
 	engine += sim.DMA(DescSize)
 	if err != nil {
 		n.DMAFaults++

@@ -143,8 +143,8 @@ func (c *Codec) consumePeriod() {
 	pb := c.regs[RegPeriodBytes]
 	buflen := c.regs[RegBufLen]
 	base := mem.Addr(uint64(c.regs[RegBufHi])<<32 | uint64(c.regs[RegBufLo]))
-	data, err := c.DMARead(base+mem.Addr(c.pos), int(pb))
-	if err != nil {
+	data := make([]byte, pb)
+	if err := c.DMAReadInto(base+mem.Addr(c.pos), data); err != nil {
 		c.DMAFaults++
 	} else {
 		c.Played = append(c.Played, data...)

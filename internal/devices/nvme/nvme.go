@@ -269,6 +269,14 @@ type Ctrl struct {
 	// on PowerFail. cacheOrder never holds an LBA twice.
 	cache      map[uint64][]byte
 	cacheOrder []uint64
+	// cacheFree holds the buffers of drained, evicted and overwritten
+	// entries for the next cached write: cache RAM is recycled, never
+	// reallocated in steady state. It keeps at most CacheBlocks buffers.
+	cacheFree [][]byte
+
+	// sqe is the I/O engines' SQE fetch buffer. Each engine step runs to
+	// completion before the next is scheduled, so one serves every queue.
+	sqe [SQESize]byte
 
 	// Queue 0 is the admin pair; 1..MaxIOQueues are I/O pairs.
 	sq [1 + MaxIOQueues]sqState
@@ -410,6 +418,7 @@ func (c *Ctrl) PowerFail() {
 	c.LostBlocks = uint64(len(c.cache))
 	c.cache = make(map[uint64][]byte)
 	c.cacheOrder = c.cacheOrder[:0]
+	c.cacheFree = nil
 	cc := c.regs[RegCC]
 	c.reset()
 	c.regs[RegCC] = cc &^ CcEnable
@@ -422,22 +431,43 @@ func (c *Ctrl) drainOne() int {
 		return 0
 	}
 	lba := c.cacheOrder[0]
-	c.cacheOrder = c.cacheOrder[1:]
+	n := copy(c.cacheOrder, c.cacheOrder[1:])
+	c.cacheOrder = c.cacheOrder[:n]
 	data, ok := c.cache[lba]
 	if !ok {
 		return 0
 	}
 	delete(c.cache, lba)
 	copy(c.media[int(lba)*BlockSize:], data)
+	c.freeCacheBuf(data)
 	return len(data)
+}
+
+// cacheBuf returns a block buffer for a cached write to stage into: a
+// recycled one when any is free.
+func (c *Ctrl) cacheBuf() []byte {
+	if n := len(c.cacheFree); n > 0 {
+		b := c.cacheFree[n-1]
+		c.cacheFree = c.cacheFree[:n-1]
+		return b
+	}
+	return make([]byte, BlockSize)
+}
+
+// freeCacheBuf returns a buffer no cache entry references any more.
+func (c *Ctrl) freeCacheBuf(b []byte) {
+	if len(c.cacheFree) < c.params.CacheBlocks {
+		c.cacheFree = append(c.cacheFree, b)
+	}
 }
 
 // cacheInsert stages one block in the volatile cache, evicting the oldest
 // entry to media when the capacity is reached. It returns the extra media
 // bytes the eviction moved (charged to the triggering command's engine).
 func (c *Ctrl) cacheInsert(lba uint64, data []byte) (evicted int) {
-	if _, dirty := c.cache[lba]; dirty {
+	if old, dirty := c.cache[lba]; dirty {
 		c.cache[lba] = data // overwrite in place, order unchanged
+		c.freeCacheBuf(old)
 		return 0
 	}
 	if len(c.cache) >= c.params.CacheBlocks {
@@ -706,7 +736,8 @@ func (c *Ctrl) maybeInterrupt() {
 
 func (c *Ctrl) adminStep() {
 	sq := &c.sq[0]
-	sqe, err := c.DMARead(sq.base+mem.Addr(sq.head*SQESize), SQESize)
+	sqe := make([]byte, SQESize) // control plane: not worth a dedicated buffer
+	err := c.DMAReadInto(sq.base+mem.Addr(sq.head*SQESize), sqe)
 	sq.head = (sq.head + 1) % sq.size
 	if err != nil {
 		c.DMAFaults++
@@ -854,7 +885,8 @@ func (c *Ctrl) ioStep(qid int) {
 	if !sq.created || sq.head == c.regs[SQDoorbell(qid)] {
 		return
 	}
-	sqe, err := c.DMAReadQ(qid, sq.base+mem.Addr(sq.head*SQESize), SQESize)
+	sqe := c.sqe[:]
+	err := c.DMAReadIntoQ(qid, sq.base+mem.Addr(sq.head*SQESize), sqe)
 	engine := c.params.CmdOverhead + sim.DMA(SQESize)
 	if err != nil {
 		c.DMAFaults++
@@ -944,30 +976,29 @@ func (c *Ctrl) execRW(qid int, sqe []byte, write bool, engine *sim.Duration) uin
 	if write {
 		fua := sqe[sqeFlags]&SqeFlagFUA != 0
 		cached := c.cacheOn() && !fua
-		// Cached writes stage in a private buffer (the cache owns it);
+		// Cached writes stage in a cache buffer (recycled cache RAM);
 		// direct writes — FUA, or no cache — land straight in media, so
-		// the default configuration pays no staging copy.
+		// the default configuration pays no staging copy. Each PRP chunk
+		// lies inside one page, so a faulting chunk leaves its part of dst
+		// untouched: a direct write that faults on PRP2 has written the
+		// PRP1 part of the block, as a torn DMA does.
 		dst := c.media[mediaOff : mediaOff+BlockSize]
 		if cached {
-			dst = make([]byte, BlockSize)
+			dst = c.cacheBuf()
 		}
-		chunk, err := c.DMAReadQ(qid, prp1, first)
+		err := c.DMAReadIntoQ(qid, prp1, dst[:first])
 		*engine += sim.DMA(first)
+		if err == nil && rest > 0 {
+			err = c.DMAReadIntoQ(qid, prp2, dst[first:])
+			*engine += sim.DMA(rest)
+		}
 		if err != nil {
 			c.DMAFaults++
 			*engine += sim.Duration(c.params.MediaPerByte * BlockSize)
-			return StatusInvalidField
-		}
-		copy(dst, chunk)
-		if rest > 0 {
-			chunk, err = c.DMAReadQ(qid, prp2, rest)
-			*engine += sim.DMA(rest)
-			if err != nil {
-				c.DMAFaults++
-				*engine += sim.Duration(c.params.MediaPerByte * BlockSize)
-				return StatusInvalidField
+			if cached {
+				c.freeCacheBuf(dst)
 			}
-			copy(dst[first:], chunk)
+			return StatusInvalidField
 		}
 		if fua {
 			c.FUAWrites++
@@ -1010,10 +1041,12 @@ func (c *Ctrl) execRW(qid int, sqe []byte, write bool, engine *sim.Duration) uin
 
 // cacheDrop removes lba's dirty entry (superseded by a direct media write).
 func (c *Ctrl) cacheDrop(lba uint64) {
-	if _, ok := c.cache[lba]; !ok {
+	data, ok := c.cache[lba]
+	if !ok {
 		return
 	}
 	delete(c.cache, lba)
+	c.freeCacheBuf(data)
 	for i, l := range c.cacheOrder {
 		if l == lba {
 			c.cacheOrder = append(c.cacheOrder[:i], c.cacheOrder[i+1:]...)

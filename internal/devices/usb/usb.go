@@ -221,8 +221,8 @@ func (h *HostController) execTD() {
 		return
 	}
 	tdAddr := mem.Addr(h.regs[RegTDAddr])
-	td, err := h.DMARead(tdAddr, TDSize)
-	if err != nil {
+	td := make([]byte, TDSize)
+	if err := h.DMAReadInto(tdAddr, td); err != nil {
 		h.TDFaults++
 		return
 	}
@@ -265,12 +265,11 @@ func (h *HostController) transact(devAddr uint8, ep, dir, length int, buf mem.Ad
 		var out []byte
 		var data []byte
 		if sp.RequestType&0x80 == 0 && length > 0 {
-			d, err := h.DMARead(buf, length)
-			if err != nil {
+			data = make([]byte, length)
+			if err := h.DMAReadInto(buf, data); err != nil {
 				h.TDFaults++
 				return TDStall, 0
 			}
-			data = d
 		}
 		out, err := dev.Control(sp, data)
 		if err != nil {
@@ -304,8 +303,8 @@ func (h *HostController) transact(devAddr uint8, ep, dir, length int, buf mem.Ad
 		}
 		return TDOK, len(data)
 	case DirOut:
-		data, err := h.DMARead(buf, length)
-		if err != nil {
+		data := make([]byte, length)
+		if err := h.DMAReadInto(buf, data); err != nil {
 			h.TDFaults++
 			return TDStall, 0
 		}

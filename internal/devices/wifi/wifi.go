@@ -242,8 +242,8 @@ func (n *NIC) transmit(length int) {
 		return
 	}
 	buf := mem.Addr(uint64(n.regs[RegTxBufHi])<<32 | uint64(n.regs[RegTxBufLo]))
-	frame, err := n.DMARead(buf, length)
-	if err != nil {
+	frame := make([]byte, length)
+	if err := n.DMAReadInto(buf, frame); err != nil {
 		n.DMAFaults++
 		n.assertCause(IntTxDone)
 		return

@@ -59,6 +59,12 @@ type BlockDevice interface {
 	// Submit enqueues req on hardware queue q. A full queue returns an
 	// error; the host stops that queue's submission path until the driver
 	// calls BlockKernel.WakeQueueQ (BLK_STS_RESOURCE semantics).
+	//
+	// Ownership: req.Data belongs to the host and must not be retained
+	// after Submit returns. The driver copies the payload synchronously
+	// (into its DMA buffer, or its channel slot under SUD). The host keeps
+	// the buffer unchanged for replay until the request completes, then
+	// reuses it for a later write.
 	Submit(q int, req BlockRequest) error
 }
 

@@ -171,12 +171,12 @@ func (m *Machine) HandleUpstream(tlp pci.TLP) pci.Completion {
 		}
 		return pci.Completion{}
 	case pci.MemRead:
-		buf := make([]byte, tlp.Len)
-		if err := m.Mem.Read(phys, buf); err != nil {
+		// The data lands straight in the requester's buffer (TLP.Dst).
+		if err := m.Mem.Read(phys, tlp.Dst); err != nil {
 			m.DMAErrors++
 			return pci.Completion{Err: err}
 		}
-		return pci.Completion{Data: buf}
+		return pci.Completion{}
 	default:
 		m.DMAErrors++
 		return pci.Completion{Err: &pci.RouteError{TLP: tlp, Reason: "unsupported TLP type"}}

@@ -73,8 +73,8 @@ func TestDMAThroughDomain(t *testing.T) {
 	if b[0] != 0xCA || b[1] != 0xFE {
 		t.Fatalf("DRAM contains % x", b)
 	}
-	got, err := d.DMARead(0x40000042, 2)
-	if err != nil || got[0] != 0xCA {
+	got := make([]byte, 2)
+	if err := d.DMAReadInto(0x40000042, got); err != nil || got[0] != 0xCA {
 		t.Fatalf("DMA read: % x, %v", got, err)
 	}
 }
@@ -118,7 +118,7 @@ func TestMSIWindowWriteRaisesInterrupt(t *testing.T) {
 func TestMSIWindowReadRejected(t *testing.T) {
 	m, d := build(DefaultPlatform())
 	m.IOMMU.Attach(d.BDF(), m.IOMMU.NewDomain())
-	if _, err := d.DMARead(0xFEE00000, 4); err == nil {
+	if err := d.DMAReadInto(0xFEE00000, make([]byte, 4)); err == nil {
 		t.Fatal("read from MSI window succeeded")
 	}
 	if m.DMAErrors == 0 {
@@ -257,5 +257,43 @@ func TestDRAMPopulated(t *testing.T) {
 	}
 	if m.Mem.Populated(0) {
 		t.Fatal("low memory unexpectedly populated")
+	}
+}
+
+// TestDMAReadIntoAllocatesNothing: a DMA read through the IOMMU lands in
+// the device's own buffer, and IOTLB misses evict in place. The device
+// cycles over more pages than the IOTLB holds, so every read walks and
+// evicts.
+func TestDMAReadIntoAllocatesNothing(t *testing.T) {
+	m, d := build(DefaultPlatform())
+	dom := m.IOMMU.NewDomain()
+	const pages = 80
+	for i := 0; i < pages; i++ {
+		phys, ok := m.Alloc.AllocPages(1)
+		if !ok {
+			t.Fatal("oom")
+		}
+		m.Mem.MustWrite(phys+8, []byte{byte(i)})
+		if err := dom.Map(0x40000000+mem.Addr(i)*mem.PageSize, phys, iommu.PermRW); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.IOMMU.Attach(d.BDF(), dom)
+	dst := make([]byte, 64)
+	allocs := testing.AllocsPerRun(10, func() {
+		for i := 0; i < pages; i++ {
+			if err := d.DMAReadIntoQ(0, 0x40000000+mem.Addr(i)*mem.PageSize, dst); err != nil {
+				t.Fatal(err)
+			}
+			if dst[8] != byte(i) {
+				t.Fatalf("page %d read % x", i, dst[:16])
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%d DMA reads allocate %.0f times, want 0", pages, allocs)
+	}
+	if _, misses := m.IOMMU.TLBStats(); misses < 10*pages {
+		t.Fatalf("%d IOTLB misses: the reads did not evict", misses)
 	}
 }

@@ -66,6 +66,7 @@ func New(cfg Config, clock *sim.Clock) *Unit {
 		clock:   clock,
 		domains: make(map[pci.BDF]*Domain),
 		qdoms:   make(map[queueKey]*Domain),
+		tlb:     make([]iotlbEntry, 0, iotlbSize),
 	}
 }
 
@@ -169,9 +170,11 @@ func (u *Unit) TranslateQ(bdf pci.BDF, stream int, iova mem.Addr, write bool) (m
 	if err := checkPerm(entry.perm, write); err != "" {
 		return 0, sim.CostIOMMUWalk, u.faultQ(bdf, stream, iova, write, err)
 	}
-	// Insert into the IOTLB, FIFO eviction.
+	// Insert into the IOTLB, FIFO eviction. The oldest entry is shifted
+	// out in place, so the table never reallocates once full.
 	if len(u.tlb) >= iotlbSize {
-		u.tlb = u.tlb[1:]
+		n := copy(u.tlb, u.tlb[1:])
+		u.tlb = u.tlb[:n]
 	}
 	u.tlb = append(u.tlb, iotlbEntry{bdf: bdf, stream: stream, iova: pageIOVA, pte: entry})
 	return entry.phys + mem.Addr(mem.PageOffset(iova)), sim.CostIOMMUWalk, nil

@@ -100,7 +100,7 @@ func (m *Manager) Register(name string, geom api.BlockGeometry, drv api.BlockDev
 	if geom.BlockSize <= 0 || geom.Blocks == 0 {
 		return nil, fmt.Errorf("blockdev: bad geometry %+v", geom)
 	}
-	d := &Dev{Name: name, Geom: geom, mgr: m, drv: drv, inflight: make(map[uint64]*request)}
+	d := &Dev{Name: name, Geom: geom, mgr: m, drv: drv, inflight: make(map[uint64]request)}
 	nq := drv.Queues()
 	if nq < 1 {
 		nq = 1
@@ -145,14 +145,14 @@ func (m *Manager) Unregister(name string) {
 	d.flushQ = nil
 	for tag, r := range d.inflight {
 		delete(d.inflight, tag)
-		r.cb(nil, ErrDown)
+		r.cb.call(nil, ErrDown)
 	}
 	for q := range d.queues {
 		qc := &d.queues[q]
 		qc.recovering = false
 		qc.drainLeft = 0
 		for _, w := range qc.waiting {
-			w.cb(nil, ErrDown)
+			w.cb.call(nil, ErrDown)
 		}
 		qc.waiting = nil
 	}
@@ -296,7 +296,7 @@ func (m *Manager) Quarantine(name string) {
 	d.flushQ = nil
 	for tag, r := range d.inflight {
 		delete(d.inflight, tag)
-		r.cb(nil, ErrDown)
+		r.cb.call(nil, ErrDown)
 	}
 	d.barrier = nil
 	for q := range d.queues {
@@ -304,7 +304,7 @@ func (m *Manager) Quarantine(name string) {
 		qc.recovering = false
 		qc.drainLeft = 0
 		for _, w := range qc.waiting {
-			w.cb(nil, ErrDown)
+			w.cb.call(nil, ErrDown)
 		}
 		qc.waiting = nil
 	}
@@ -368,13 +368,31 @@ func (qc *QueueCtx) Recovering() bool { return qc.recovering }
 // Waiting reports the software queue depth.
 func (qc *QueueCtx) Waiting() int { return len(qc.waiting) }
 
+// done is a request's completion callback: a read's receives the payload,
+// a write's or a flush's only the verdict. Keeping both shapes spares every
+// write a wrapper closure.
+type done struct {
+	read  func([]byte, error)
+	write func(error)
+}
+
+func (c done) call(data []byte, err error) {
+	if c.read != nil {
+		c.read(data, err)
+		return
+	}
+	c.write(err)
+}
+
 // queued is one parked submission.
 type queued struct {
 	req api.BlockRequest
-	cb  func([]byte, error)
+	cb  done
 }
 
-// request is one in-flight request awaiting completion.
+// request is one in-flight request awaiting completion. The in-flight table
+// holds it by value: one heap object per request would cost more than the
+// map copies it saves.
 type request struct {
 	q     int
 	write bool
@@ -382,7 +400,10 @@ type request struct {
 	// at is the dispatch stamp; Complete turns it into the per-queue
 	// end-to-end latency sample (always-on metrics plane, zero cost).
 	at sim.Time
-	cb func([]byte, error)
+	cb done
+	// data is the block core's own copy of a write payload (nil for reads
+	// and flushes), handed back to the device's free list on completion.
+	data []byte
 }
 
 // flushOp is one Flush() barrier moving through the device: queued, then
@@ -414,8 +435,14 @@ type Dev struct {
 	replay     [][]shadow.PendingBlock
 
 	queues   []QueueCtx
-	inflight map[uint64]*request
+	inflight map[uint64]request
 	nextTag  uint64
+
+	// free holds write-payload buffers (Geom.BlockSize bytes each) whose
+	// requests completed: the next WriteAt copies into one instead of
+	// allocating. A buffer enters only from Complete, once neither the
+	// shadow log nor a replay schedule can still reference it.
+	free [][]byte
 
 	// Barrier state: one flush barrier is active at a time; later Flush()
 	// calls queue behind it. While a barrier is active every new
@@ -547,7 +574,7 @@ func (d *Dev) ReadAt(lba uint64, cb func([]byte, error)) error {
 
 // ReadAtQ reads the block at lba on an explicit queue.
 func (d *Dev) ReadAtQ(lba uint64, q int, cb func([]byte, error)) error {
-	return d.submit(q, api.BlockRequest{LBA: lba}, cb)
+	return d.submit(q, api.BlockRequest{LBA: lba}, done{read: cb})
 }
 
 // WriteAt writes one block (exactly BlockSize bytes) at lba, steering by
@@ -580,12 +607,12 @@ func (d *Dev) writeAtQ(lba uint64, q int, data []byte, fua bool, cb func(error))
 		return ErrBadSize
 	}
 	// The block core owns the payload for the request's lifetime, like
-	// the page cache owns a bio's pages.
-	buf := make([]byte, len(data))
+	// the page cache owns a bio's pages: the caller may reuse data as soon
+	// as this returns, and the driver and the shadow log share buf.
+	buf := d.payloadBuf()
 	copy(buf, data)
 	d.mgr.Acct.Charge(sim.Copy(len(data)))
-	return d.submit(q, api.BlockRequest{Write: true, LBA: lba, Data: buf, FUA: fua},
-		func(_ []byte, err error) { cb(err) })
+	return d.submit(q, api.BlockRequest{Write: true, LBA: lba, Data: buf, FUA: fua}, done{write: cb})
 }
 
 // Flush issues a write barrier (REQ_OP_FLUSH): cb runs once every write
@@ -629,7 +656,7 @@ func (d *Dev) pumpBarrier() {
 	}
 	b.dispatched = true
 	if !d.dispatch(0, api.BlockRequest{Flush: true},
-		func(_ []byte, err error) { d.finishBarrier(b, err) }) {
+		done{write: func(err error) { d.finishBarrier(b, err) }}) {
 		// The driver refused the flush (queue full): retried on the next
 		// wake.
 		b.dispatched = false
@@ -658,7 +685,7 @@ func (d *Dev) finishBarrier(b *flushOp, err error) {
 // submit validates, tags and dispatches one request; a stalled or full
 // hardware queue — a device whose driver is being restarted, or one with a
 // flush barrier in flight — parks it in that queue's software queue.
-func (d *Dev) submit(q int, req api.BlockRequest, cb func([]byte, error)) error {
+func (d *Dev) submit(q int, req api.BlockRequest, cb done) error {
 	if !d.up {
 		return ErrDown
 	}
@@ -684,18 +711,20 @@ func (d *Dev) submit(q int, req api.BlockRequest, cb func([]byte, error)) error 
 
 // dispatch hands one request to the driver; it reports false when the
 // hardware queue refused it (park and stall).
-func (d *Dev) dispatch(q int, req api.BlockRequest, cb func([]byte, error)) bool {
+func (d *Dev) dispatch(q int, req api.BlockRequest, cb done) bool {
 	qc := &d.queues[q]
 	req.Tag = d.nextTag
 	d.nextTag++
-	d.inflight[req.Tag] = &request{q: q, write: req.Write, flush: req.Flush,
-		at: d.mgr.Loop.Now(), cb: cb}
+	d.inflight[req.Tag] = request{q: q, write: req.Write, flush: req.Flush,
+		at: d.mgr.Loop.Now(), cb: cb, data: req.Data}
 	d.mgr.Trace.Event(trace.ClassBlk, q, req.Tag, trace.HopSubmit)
 	if err := d.drv.Submit(q, req); err != nil {
 		delete(d.inflight, req.Tag)
 		return false
 	}
-	if d.shadow != nil {
+	// A driver may complete synchronously inside Submit; the log must not
+	// keep (and later replay) a request whose completion was delivered.
+	if _, live := d.inflight[req.Tag]; live && d.shadow != nil {
 		d.shadow.RecordSubmit(q, req)
 	}
 	switch {
@@ -728,6 +757,9 @@ func (d *Dev) Complete(q int, tag uint64, err error, data []byte) {
 	if d.shadow != nil {
 		d.shadow.RecordComplete(tag)
 	}
+	if r.data != nil && !d.replayPending() {
+		d.free = append(d.free, r.data)
+	}
 	qc := &d.queues[d.clampQ(q)]
 	qc.Completions++
 	d.mgr.Acct.Charge(CostCompletePath)
@@ -754,9 +786,9 @@ func (d *Dev) Complete(q int, tag uint64, err error, data []byte) {
 	}
 	if err != nil {
 		qc.Errors++
-		r.cb(nil, err)
+		r.cb.call(nil, err)
 	} else {
-		r.cb(data, nil)
+		r.cb.call(data, nil)
 	}
 	// The in-flight table draining may be what an active barrier is
 	// waiting for.
@@ -828,6 +860,30 @@ func (d *Dev) drainReplay(q int) bool {
 		}
 	}
 	return true
+}
+
+// replayPending reports whether a replay schedule still holds requests not
+// yet handed to the restarted driver. Their payloads are live, and a
+// completion delivered early (a driver completing a tag it was never
+// re-given) must not recycle a buffer the replay will still submit.
+func (d *Dev) replayPending() bool {
+	for _, r := range d.replay {
+		if len(r) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// payloadBuf returns a BlockSize buffer for a write payload: a recycled one
+// when any is free.
+func (d *Dev) payloadBuf() []byte {
+	if n := len(d.free); n > 0 {
+		b := d.free[n-1]
+		d.free = d.free[:n-1]
+		return b
+	}
+	return make([]byte, d.Geom.BlockSize)
 }
 
 // CompleteRecovery finishes a shadow recovery after the restarted driver

@@ -29,6 +29,7 @@ func (f *fakeDrv) Submit(q int, req api.BlockRequest) error {
 	if len(f.pending[q]) >= f.limit {
 		return fmt.Errorf("full")
 	}
+	req.Data = append([]byte(nil), req.Data...) // Submit must not retain the host's buffer
 	f.pending[q] = append(f.pending[q], req)
 	return nil
 }

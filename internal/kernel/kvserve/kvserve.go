@@ -48,6 +48,10 @@ type Server struct {
 	stack   *netstack.Stack
 	ifc     *netstack.Iface
 	tenants []*Tenant
+
+	// block is packBlock's buffer: WriteAtQ copies the payload before it
+	// returns, so one buffer serves every write.
+	block []byte
 }
 
 // New binds one UDP socket per tenant on stack/ifc and wires each shard to
@@ -168,9 +172,14 @@ func (s *Server) blockFor(tn *Tenant, key string) uint64 {
 	return base + fnv64(key)%s.cfg.BlocksPerTenant
 }
 
-// packBlock lays `klen(1) key vlen(2) val` into one zero-padded block.
+// packBlock lays `klen(1) key vlen(2) val` into one zero-padded block, in
+// the server's block buffer (valid until the next call).
 func (s *Server) packBlock(key string, val []byte) []byte {
-	b := make([]byte, s.cfg.Store.Geom.BlockSize)
+	if s.block == nil {
+		s.block = make([]byte, s.cfg.Store.Geom.BlockSize)
+	}
+	b := s.block
+	clear(b)
 	b[0] = byte(len(key))
 	copy(b[1:], key)
 	off := 1 + len(key)

@@ -26,9 +26,9 @@ type mqDev struct {
 	txq map[int][][]byte
 }
 
-func (d *mqDev) Open() error  { return nil }
-func (d *mqDev) Stop() error  { return nil }
-func (d *mqDev) TxQueues() int { return d.nq }
+func (d *mqDev) Open() error              { return nil }
+func (d *mqDev) Stop() error              { return nil }
+func (d *mqDev) TxQueues() int            { return d.nq }
 func (d *mqDev) StartXmit(f []byte) error { return d.StartXmitQ(f, 0) }
 func (d *mqDev) StartXmitQ(f []byte, q int) error {
 	if d.txq == nil {
@@ -53,6 +53,7 @@ func (f *blkDrv) Open() error { return nil }
 func (f *blkDrv) Stop() error { return nil }
 func (f *blkDrv) Queues() int { return f.queues }
 func (f *blkDrv) Submit(q int, req api.BlockRequest) error {
+	req.Data = append([]byte(nil), req.Data...) // Submit must not retain the host's buffer
 	f.subs = append(f.subs, req)
 	f.loop.After(5*sim.Microsecond, func() {
 		var err error
@@ -246,7 +247,7 @@ func TestBadRequestsDroppedWithoutReply(t *testing.T) {
 	tn := fx.srv.Tenant(0)
 	for _, garbage := range [][]byte{
 		nil,
-		{OpGet},                       // truncated header
+		{OpGet},                              // truncated header
 		{99, 0, 0, 0, 0, 0, 0, 0, 1, 1, 'k'}, // unknown op
 		{OpGet, 0, 0, 0, 0, 0, 0, 0, 1, 0},   // zero-length key
 		append(EncodeRequest(Request{Op: OpGet, ID: 1, Key: []byte("k")}), 0xFF), // trailing byte

@@ -12,8 +12,9 @@
 //   - Block devices (Block): the namespace geometry mirrored at registration
 //     and a per-queue in-flight request log keyed by the kernel-allocated
 //     tag. Every request the block core dispatches to the driver is recorded
-//     (write payloads copied, since the driver may die holding the only
-//     reference) and erased when its completion is delivered. After a kill,
+//     (sharing the block core's own copy of a write payload, which it keeps
+//     unchanged until the entry is erased) and erased when its completion is
+//     delivered. After a kill,
 //     the log IS the set of requests the dead incarnation swallowed — the
 //     recovery path replays it, in per-queue submission order and under the
 //     original tags, against the restarted process.
@@ -58,7 +59,7 @@ type Block struct {
 	Geom api.BlockGeometry
 
 	seq uint64
-	log map[uint64]*PendingBlock // tag → pending request
+	log map[uint64]PendingBlock // tag → pending request
 
 	// Replayed counts requests re-submitted across all recoveries.
 	Replayed uint64
@@ -67,17 +68,16 @@ type Block struct {
 // NewBlock returns an empty block shadow for a device with the given
 // geometry.
 func NewBlock(geom api.BlockGeometry) *Block {
-	return &Block{Geom: geom, log: make(map[uint64]*PendingBlock)}
+	return &Block{Geom: geom, log: make(map[uint64]PendingBlock)}
 }
 
-// RecordSubmit logs one request handed to the driver on queue q. The write
-// payload is copied: the block core's buffer is released on completion, but
-// the log entry must outlive a driver that dies without completing.
+// RecordSubmit logs one request handed to the driver on queue q. The log
+// shares the write payload instead of copying it: req.Data is the block
+// core's own copy, which the core neither changes nor reuses until
+// RecordComplete has erased the entry, so the entry outlives a driver that
+// dies without completing.
 func (s *Block) RecordSubmit(q int, req api.BlockRequest) {
-	if req.Data != nil {
-		req.Data = append([]byte(nil), req.Data...)
-	}
-	s.log[req.Tag] = &PendingBlock{Q: q, Req: req, Seq: s.seq}
+	s.log[req.Tag] = PendingBlock{Q: q, Req: req, Seq: s.seq}
 	s.seq++
 }
 
@@ -106,7 +106,7 @@ func (s *Block) PendingByQueue(nq int) [][]PendingBlock {
 		if q < 0 || q >= nq {
 			q = 0
 		}
-		out[q] = append(out[q], *p)
+		out[q] = append(out[q], p)
 	}
 	for q := range out {
 		sortBySeq(out[q])
@@ -131,7 +131,7 @@ func (s *Block) PendingForQueue(q, nq int) []PendingBlock {
 			pq = 0
 		}
 		if pq == q {
-			out = append(out, *p)
+			out = append(out, p)
 		}
 	}
 	sortBySeq(out)
@@ -141,7 +141,7 @@ func (s *Block) PendingForQueue(q, nq int) []PendingBlock {
 // Reset drops the log (device unregistered while recovering: the parked
 // requests were failed, so there is nothing left to replay).
 func (s *Block) Reset() {
-	s.log = make(map[uint64]*PendingBlock)
+	s.log = make(map[uint64]PendingBlock)
 }
 
 // sortBySeq orders a replay slice by submission sequence (insertion sort:

@@ -31,17 +31,6 @@ func TestBlockLogRecordAndReplaySchedule(t *testing.T) {
 	}
 }
 
-func TestBlockLogCopiesWritePayloads(t *testing.T) {
-	s := NewBlock(api.BlockGeometry{BlockSize: 2, Blocks: 8})
-	buf := []byte{0xAA, 0xBB}
-	s.RecordSubmit(0, api.BlockRequest{Write: true, LBA: 1, Tag: 7, Data: buf})
-	buf[0] = 0xEE // the block core's buffer is reused after completion
-	got := s.PendingByQueue(1)[0][0].Req.Data
-	if got[0] != 0xAA || got[1] != 0xBB {
-		t.Fatalf("log aliased the caller's payload: %v", got)
-	}
-}
-
 func TestBlockLogClampsForeignQueues(t *testing.T) {
 	s := NewBlock(api.BlockGeometry{BlockSize: 512, Blocks: 64})
 	s.RecordSubmit(9, api.BlockRequest{LBA: 1, Tag: 0}) // queue shrank across restart

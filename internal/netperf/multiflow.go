@@ -16,8 +16,8 @@ import (
 	"sud/internal/pci"
 	"sud/internal/proxy/ethproxy"
 	"sud/internal/sim"
-	"sud/internal/trace"
 	"sud/internal/sudml"
+	"sud/internal/trace"
 )
 
 // Multi-flow scale scenario: K concurrent 64-byte UDP flows spread across Q

@@ -53,28 +53,32 @@ func (f *FuncBase) Attach(port Port) { f.port = port }
 // Attached reports whether the device has an upstream port.
 func (f *FuncBase) Attached() bool { return f.port != nil }
 
-// DMARead issues an untagged memory read TLP for n bytes at bus address
-// addr. It fails if bus mastering is disabled (the command register gates
-// DMA on real hardware too).
-func (f *FuncBase) DMARead(addr mem.Addr, n int) ([]byte, error) {
-	return f.DMAReadQ(0, addr, n)
+// DMAReadInto issues an untagged memory read TLP for len(dst) bytes at bus
+// address addr and lands the data in dst. It fails if bus mastering is
+// disabled (the command register gates DMA on real hardware too).
+func (f *FuncBase) DMAReadInto(addr mem.Addr, dst []byte) error {
+	return f.DMAReadIntoQ(0, addr, dst)
 }
 
-// DMAReadQ is DMARead with the issuing hardware queue's stream tag stamped
-// on the TLP (the trusted device silicon stamps it, like the requester BDF),
-// so a per-queue IOMMU sub-domain can confine the access.
-func (f *FuncBase) DMAReadQ(stream int, addr mem.Addr, n int) ([]byte, error) {
+// DMAReadIntoQ is DMAReadInto with the issuing hardware queue's stream tag
+// stamped on the TLP (the trusted device silicon stamps it, like the
+// requester BDF), so a per-queue IOMMU sub-domain can confine the access.
+//
+// dst is the device's own buffer — an engine buffer, a cache slot, media —
+// and the fabric fills it in place: the read path allocates nothing. The
+// caller owns dst before and after the call; nothing below retains it. On
+// error dst is not valid data: it may hold a prefix of the read (the pages
+// before the one that failed), so a caller that must not expose a torn
+// read either reads into a private buffer or reads one page at a time.
+func (f *FuncBase) DMAReadIntoQ(stream int, addr mem.Addr, dst []byte) error {
 	if f.port == nil {
-		return nil, &RouteError{Reason: "device not attached"}
+		return &RouteError{Reason: "device not attached"}
 	}
+	tlp := TLP{Type: MemRead, Requester: f.bdf, Stream: stream, Addr: addr, Dst: dst}
 	if !f.cfg.BusMasterEnabled() {
-		return nil, &RouteError{
-			TLP:    TLP{Type: MemRead, Requester: f.bdf, Stream: stream, Addr: addr, Len: n},
-			Reason: "bus mastering disabled",
-		}
+		return &RouteError{TLP: tlp, Reason: "bus mastering disabled"}
 	}
-	c := f.port.Upstream(TLP{Type: MemRead, Requester: f.bdf, Stream: stream, Addr: addr, Len: n})
-	return c.Data, c.Err
+	return f.port.Upstream(tlp).Err
 }
 
 // DMAWrite issues an untagged memory write TLP.

@@ -67,11 +67,10 @@ func (h *memHandler) HandleUpstream(tlp TLP) Completion {
 		}
 		return Completion{}
 	case MemRead:
-		buf := make([]byte, tlp.Len)
-		if err := h.m.Read(tlp.Addr, buf); err != nil {
+		if err := h.m.Read(tlp.Addr, tlp.Dst); err != nil {
 			return Completion{Err: err}
 		}
-		return Completion{Data: buf}
+		return Completion{}
 	}
 	return Completion{Err: &RouteError{TLP: tlp, Reason: "bad type"}}
 }
@@ -184,8 +183,8 @@ func TestDMAThroughRoot(t *testing.T) {
 	if err := a.DMAWrite(0x100000, []byte{1, 2, 3, 4}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := a.DMARead(0x100000, 4)
-	if err != nil {
+	got := make([]byte, 4)
+	if err := a.DMAReadInto(0x100000, got); err != nil {
 		t.Fatal(err)
 	}
 	if got[0] != 1 || got[3] != 4 {
@@ -354,7 +353,7 @@ func TestDetachedDeviceDMAFails(t *testing.T) {
 	if err := d.DMAWrite(0x1000, []byte{1}); err == nil {
 		t.Fatal("DMA from detached device succeeded")
 	}
-	if _, err := d.DMARead(0x1000, 1); err == nil {
+	if err := d.DMAReadInto(0x1000, make([]byte, 1)); err == nil {
 		t.Fatal("DMA read from detached device succeeded")
 	}
 	if d.Attached() {
@@ -387,8 +386,8 @@ func TestFabricRoundTripProperty(t *testing.T) {
 		if err := a.DMAWrite(0x100800, data); err != nil {
 			return false
 		}
-		got, err := a.DMARead(0x100800, len(data))
-		if err != nil {
+		got := make([]byte, len(data))
+		if err := a.DMAReadInto(0x100800, got); err != nil {
 			return false
 		}
 		for i := range data {

@@ -36,13 +36,17 @@ type TLP struct {
 	Stream    int      // PASID-like queue tag, stamped by the issuing hardware queue engine; 0 = untagged
 	Addr      mem.Addr // bus address (IO-virtual once an IOMMU is active)
 	Data      []byte   // payload for MemWrite
-	Len       int      // requested length for MemRead
+	// Dst is a MemRead's destination: the requester's buffer, whose length
+	// is the read length. The completer fills it in place, so the fabric
+	// never allocates read data. On an abort Dst may hold a prefix of the
+	// data (the pages before the failing one, as a partial DMA would).
+	Dst []byte
 }
 
-// Completion is the fabric's response to a TLP.
+// Completion is the fabric's response to a TLP. Read data is not carried
+// here: a MemRead's completer fills the TLP's Dst.
 type Completion struct {
-	Data []byte // read data for MemRead
-	Err  error  // non-nil if the transaction aborted (UR/CA/IOMMU fault)
+	Err error // non-nil if the transaction aborted (UR/CA/IOMMU fault)
 }
 
 // OK reports whether the transaction completed successfully.

@@ -85,19 +85,51 @@ func (s *Switch) Devices() []Device {
 }
 
 // portOwns reports whether requester is a valid source for TLPs arriving on
-// port p (the device on p, or any device below p's child switch).
+// port p (the device on p, or any device below p's child switch). It runs
+// on every TLP, so it walks the ports in place rather than collecting
+// Devices().
 func portOwns(p *downPort, requester BDF) bool {
 	if p.dev != nil {
 		return p.dev.BDF() == requester
 	}
 	if p.child != nil {
-		for _, d := range p.child.Devices() {
-			if d.BDF() == requester {
-				return true
+		return p.child.deviceByBDF(requester) != nil
+	}
+	return false
+}
+
+// deviceByBDF finds the device at bdf below s, depth-first, without
+// allocating.
+func (s *Switch) deviceByBDF(bdf BDF) Device {
+	for _, p := range s.ports {
+		if p.dev != nil && p.dev.BDF() == bdf {
+			return p.dev
+		}
+		if p.child != nil {
+			if d := p.child.deviceByBDF(bdf); d != nil {
+				return d
 			}
 		}
 	}
-	return false
+	return nil
+}
+
+// findMMIO finds the device and memory BAR below s that contain addr,
+// depth-first, without allocating.
+func (s *Switch) findMMIO(addr mem.Addr) (dev Device, bar int, off uint64, ok bool) {
+	for _, p := range s.ports {
+		if p.dev != nil {
+			if b, o, found := barContaining(p.dev, addr); found {
+				return p.dev, b, o, true
+			}
+		}
+		if p.child != nil {
+			if dev, bar, off, ok = p.child.findMMIO(addr); ok {
+				return dev, bar, off, true
+			}
+		}
+	}
+	return nil, 0, 0, false
 }
 
 // fromDownstream routes a TLP that arrived from downstream port src.
@@ -174,18 +206,18 @@ func deliverMMIO(dev Device, bar int, off uint64, tlp TLP) Completion {
 		}
 		return Completion{}
 	case MemRead:
-		out := make([]byte, tlp.Len)
-		for i := 0; i < tlp.Len; i += 4 {
+		out := tlp.Dst
+		for i := 0; i < len(out); i += 4 {
 			n := 4
-			if i+n > tlp.Len {
-				n = tlp.Len - i
+			if i+n > len(out) {
+				n = len(out) - i
 			}
 			v := dev.MMIORead(bar, off+uint64(i), n)
 			for j := 0; j < n; j++ {
 				out[i+j] = byte(v >> (8 * j))
 			}
 		}
-		return Completion{Data: out}
+		return Completion{}
 	default:
 		return Completion{Err: &RouteError{TLP: tlp, Reason: "unsupported TLP type"}}
 	}
@@ -223,23 +255,17 @@ func (rc *RootComplex) Devices() []Device { return rc.root.Devices() }
 
 // DeviceByBDF finds a device by its address.
 func (rc *RootComplex) DeviceByBDF(bdf BDF) (Device, error) {
-	for _, d := range rc.Devices() {
-		if d.BDF() == bdf {
-			return d, nil
-		}
+	if d := rc.root.deviceByBDF(bdf); d != nil {
+		return d, nil
 	}
 	return nil, fmt.Errorf("pci: no device at %s", bdf)
 }
 
 // FindMMIO locates the device and BAR containing physical address addr, for
-// CPU-initiated MMIO dispatch.
+// CPU-initiated MMIO dispatch and for every DMA the root complex resolves
+// (redirected P2P check), so it does not allocate.
 func (rc *RootComplex) FindMMIO(addr mem.Addr) (dev Device, bar int, off uint64, ok bool) {
-	for _, d := range rc.Devices() {
-		if b, o, found := barContaining(d, addr); found {
-			return d, b, o, true
-		}
-	}
-	return nil, 0, 0, false
+	return rc.root.findMMIO(addr)
 }
 
 // ConfigRead performs a CPU-initiated config read.

@@ -8,8 +8,8 @@ package sim
 // dual-core CPU driving an Intel e1000e Gigabit NIC (§5.1). Constants marked
 // "paper" are stated in the paper; the rest are calibrated so the Figure 8
 // *shape* (who wins, by what factor, where the overhead shows up) reproduces,
-// and carry a rationale. EXPERIMENTS.md records paper-vs-measured for every
-// row we regenerate.
+// and carry a rationale. bench/perf/README.md describes the benchmark that
+// measures these charges end to end and per layer.
 const (
 	// Cores is the number of CPU cores in the modelled machine (X301 is
 	// dual-core). CPU utilisation is reported against Cores × elapsed.

@@ -32,10 +32,10 @@ import (
 
 // Span classes: the request populations spans are keyed under.
 const (
-	ClassBlk   = "blk"     // block request, tag = kernel block tag
-	ClassNetRx = "net-rx"  // received frame, tag = buffer IOVA
-	ClassNetTx = "net-tx"  // transmitted frame, tag = shared TX slot
-	ClassDev   = "dev"     // device engine's own track, tag = device CID/index
+	ClassBlk   = "blk"    // block request, tag = kernel block tag
+	ClassNetRx = "net-rx" // received frame, tag = buffer IOVA
+	ClassNetTx = "net-tx" // transmitted frame, tag = shared TX slot
+	ClassDev   = "dev"    // device engine's own track, tag = device CID/index
 )
 
 // Span hops, in causal order along the request path. Not every class visits
