@@ -51,7 +51,7 @@ type Codec struct {
 	pos  uint32
 
 	running bool
-	tick    *sim.Event
+	tick    sim.Event // fires consumePeriod once per period while running
 
 	// Played collects every sample byte the "speaker" consumed, so
 	// tests can verify bit-exact playback through either host.
@@ -65,6 +65,7 @@ type Codec struct {
 // New creates the codec (IDs match an ICH9 HD Audio function).
 func New(loop *sim.Loop, bdf pci.BDF, barBase uint64) *Codec {
 	c := &Codec{loop: loop, regs: make(map[uint64]uint32)}
+	c.tick.Fn = c.consumePeriod
 	cfg := pci.NewConfigSpace(0x8086, 0x293E, 0x04)
 	cfg.SetBAR(0, barBase, BARSize, false)
 	cfg.AddMSICapability()
@@ -127,12 +128,12 @@ func (c *Codec) start() {
 	}
 	c.running = true
 	c.pos = 0
-	c.tick = c.loop.After(c.periodTime(), c.consumePeriod)
+	c.loop.ArmAfter(&c.tick, c.periodTime())
 }
 
 func (c *Codec) stop() {
 	c.running = false
-	c.loop.Cancel(c.tick)
+	c.loop.Cancel(&c.tick)
 }
 
 // consumePeriod DMA-reads one period from the ring and "plays" it.
@@ -155,5 +156,5 @@ func (c *Codec) consumePeriod() {
 	if c.regs[RegCtl]&CtlIE != 0 {
 		c.RaiseMSI()
 	}
-	c.tick = c.loop.After(c.periodTime(), c.consumePeriod)
+	c.loop.ArmAfter(&c.tick, c.periodTime())
 }

@@ -26,6 +26,7 @@ import (
 	"fmt"
 
 	"sud/internal/drivers/api"
+	"sud/internal/fifo"
 	"sud/internal/kernel/shadow"
 	"sud/internal/sim"
 	"sud/internal/trace"
@@ -139,10 +140,9 @@ func (m *Manager) Unregister(name string) {
 		d.barrier = nil
 		b.cb(ErrDown)
 	}
-	for _, b := range d.flushQ {
-		b.cb(ErrDown)
+	for d.flushQ.Len() > 0 {
+		d.flushQ.Pop().cb(ErrDown)
 	}
-	d.flushQ = nil
 	for tag, r := range d.inflight {
 		delete(d.inflight, tag)
 		r.cb.call(nil, ErrDown)
@@ -151,10 +151,9 @@ func (m *Manager) Unregister(name string) {
 		qc := &d.queues[q]
 		qc.recovering = false
 		qc.drainLeft = 0
-		for _, w := range qc.waiting {
-			w.cb.call(nil, ErrDown)
+		for qc.waiting.Len() > 0 {
+			qc.waiting.Pop().cb.call(nil, ErrDown)
 		}
-		qc.waiting = nil
 	}
 }
 
@@ -188,7 +187,7 @@ func (m *Manager) BeginRecovery(name string) (*Dev, error) {
 	m.adopting[name] = d
 	waiting := 0
 	for q := range d.queues {
-		waiting += len(d.queues[q].waiting)
+		waiting += d.queues[q].waiting.Len()
 	}
 	d.Flight.Recordf(trace.FPark, "%s epoch %d: %d in flight, %d queued parked",
 		name, d.epoch, len(d.inflight), waiting)
@@ -290,10 +289,9 @@ func (m *Manager) Quarantine(name string) {
 		d.barrier = nil
 		b.cb(ErrDown)
 	}
-	for _, b := range d.flushQ {
-		b.cb(ErrDown)
+	for d.flushQ.Len() > 0 {
+		d.flushQ.Pop().cb(ErrDown)
 	}
-	d.flushQ = nil
 	for tag, r := range d.inflight {
 		delete(d.inflight, tag)
 		r.cb.call(nil, ErrDown)
@@ -303,10 +301,9 @@ func (m *Manager) Quarantine(name string) {
 		qc := &d.queues[q]
 		qc.recovering = false
 		qc.drainLeft = 0
-		for _, w := range qc.waiting {
-			w.cb.call(nil, ErrDown)
+		for qc.waiting.Len() > 0 {
+			qc.waiting.Pop().cb.call(nil, ErrDown)
 		}
-		qc.waiting = nil
 	}
 }
 
@@ -336,7 +333,7 @@ type QueueCtx struct {
 	ID int
 
 	stalled bool
-	waiting []queued
+	waiting fifo.Queue[queued]
 
 	// Surgical recovery state: the supervisor quarantined this one queue
 	// (its DMA sub-domain revoked) while siblings keep flowing. Epoch is
@@ -366,7 +363,7 @@ func (qc *QueueCtx) Stalled() bool { return qc.stalled }
 func (qc *QueueCtx) Recovering() bool { return qc.recovering }
 
 // Waiting reports the software queue depth.
-func (qc *QueueCtx) Waiting() int { return len(qc.waiting) }
+func (qc *QueueCtx) Waiting() int { return qc.waiting.Len() }
 
 // done is a request's completion callback: a read's receives the payload,
 // a write's or a flush's only the verdict. Keeping both shapes spares every
@@ -432,7 +429,7 @@ type Dev struct {
 	shadow     *shadow.Block
 	recovering bool
 	epoch      uint64
-	replay     [][]shadow.PendingBlock
+	replay     []fifo.Queue[shadow.PendingBlock]
 
 	queues   []QueueCtx
 	inflight map[uint64]request
@@ -451,7 +448,7 @@ type Dev struct {
 	// flush completion means every write acked before it is durable, in
 	// every queue (the §3.1.2 guard family's durability member).
 	barrier *flushOp
-	flushQ  []*flushOp
+	flushQ  fifo.Queue[*flushOp]
 
 	// OnWake, if set, runs when the driver wakes a queue with no
 	// queue-level hook (backpressure release for the benchmark loop).
@@ -627,13 +624,13 @@ func (d *Dev) Flush(cb func(error)) error {
 		return ErrDown
 	}
 	d.mgr.Acct.Charge(CostSubmitPath)
-	d.flushQ = append(d.flushQ, &flushOp{cb: cb})
+	d.flushQ.Push(&flushOp{cb: cb})
 	d.pumpBarrier()
 	return nil
 }
 
 // FlushPending reports whether a barrier is active or queued (tests).
-func (d *Dev) FlushPending() bool { return d.barrier != nil || len(d.flushQ) > 0 }
+func (d *Dev) FlushPending() bool { return d.barrier != nil || d.flushQ.Len() > 0 }
 
 // pumpBarrier advances the barrier state machine: activate the next queued
 // flush, and once the in-flight table is drained hand the flush itself to
@@ -644,11 +641,10 @@ func (d *Dev) pumpBarrier() {
 		return
 	}
 	if d.barrier == nil {
-		if len(d.flushQ) == 0 {
+		if d.flushQ.Len() == 0 {
 			return
 		}
-		d.barrier = d.flushQ[0]
-		d.flushQ = d.flushQ[1:]
+		d.barrier = d.flushQ.Pop()
 	}
 	b := d.barrier
 	if b.dispatched || len(d.inflight) != 0 {
@@ -696,15 +692,15 @@ func (d *Dev) submit(q int, req api.BlockRequest, cb done) error {
 	qc := &d.queues[q]
 	d.mgr.Acct.Charge(CostSubmitPath)
 	if qc.stalled || qc.recovering || d.recovering || d.barrier != nil {
-		if len(qc.waiting) >= MaxQueuedPerQueue {
+		if qc.waiting.Len() >= MaxQueuedPerQueue {
 			return ErrCongested
 		}
-		qc.waiting = append(qc.waiting, queued{req: req, cb: cb})
+		qc.waiting.Push(queued{req: req, cb: cb})
 		return nil
 	}
 	if !d.dispatch(q, req, cb) {
 		qc.stalled = true
-		qc.waiting = append(qc.waiting, queued{req: req, cb: cb})
+		qc.waiting.Push(queued{req: req, cb: cb})
 	}
 	return nil
 }
@@ -822,13 +818,13 @@ func (d *Dev) WakeQueueQ(q int) {
 		return
 	}
 	qc.stalled = false
-	for len(qc.waiting) > 0 {
-		w := qc.waiting[0]
+	for qc.waiting.Len() > 0 {
+		w := qc.waiting.Peek()
 		if !d.dispatch(qc.ID, w.req, w.cb) {
 			qc.stalled = true
 			return
 		}
-		qc.waiting = qc.waiting[1:]
+		qc.waiting.Pop()
 	}
 	if h := qc.OnWake; h != nil {
 		h()
@@ -847,13 +843,12 @@ func (d *Dev) drainReplay(q int) bool {
 	if d.replay == nil || q >= len(d.replay) {
 		return true
 	}
-	for len(d.replay[q]) > 0 {
-		p := d.replay[q][0]
+	for d.replay[q].Len() > 0 {
 		d.mgr.Acct.Charge(CostSubmitPath)
-		if err := d.drv.Submit(q, p.Req); err != nil {
+		if err := d.drv.Submit(q, d.replay[q].Peek().Req); err != nil {
 			return false
 		}
-		d.replay[q] = d.replay[q][1:]
+		d.replay[q].Pop()
 		d.queues[q].Replays++
 		if d.shadow != nil {
 			d.shadow.Replayed++
@@ -867,8 +862,8 @@ func (d *Dev) drainReplay(q int) bool {
 // completion delivered early (a driver completing a tag it was never
 // re-given) must not recycle a buffer the replay will still submit.
 func (d *Dev) replayPending() bool {
-	for _, r := range d.replay {
-		if len(r) > 0 {
+	for q := range d.replay {
+		if d.replay[q].Len() > 0 {
 			return true
 		}
 	}
@@ -904,9 +899,11 @@ func (d *Dev) CompleteRecovery() (int, error) {
 	}
 	n := 0
 	if d.shadow != nil {
-		d.replay = d.shadow.PendingByQueue(len(d.queues))
-		for q := range d.replay {
-			n += len(d.replay[q])
+		pending := d.shadow.PendingByQueue(len(d.queues))
+		d.replay = make([]fifo.Queue[shadow.PendingBlock], len(pending))
+		for q, p := range pending {
+			d.replay[q] = fifo.Of(p)
+			n += len(p)
 		}
 	}
 	// Everything tabled right now was dispatched to the incarnation that
@@ -959,7 +956,7 @@ func (d *Dev) BeginQueueRecovery(q int) {
 		}
 	}
 	d.Flight.Recordf(trace.FPark, "%s q%d epoch %d: %d in flight, %d queued parked",
-		d.Name, qc.ID, qc.Epoch, qc.drainLeft, len(qc.waiting))
+		d.Name, qc.ID, qc.Epoch, qc.drainLeft, qc.waiting.Len())
 }
 
 // CompleteQueueRecovery finishes a surgical recovery: the supervisor
@@ -981,10 +978,11 @@ func (d *Dev) CompleteQueueRecovery(q int) (int, error) {
 	n := 0
 	if d.shadow != nil {
 		if d.replay == nil {
-			d.replay = make([][]shadow.PendingBlock, len(d.queues))
+			d.replay = make([]fifo.Queue[shadow.PendingBlock], len(d.queues))
 		}
-		d.replay[qc.ID] = d.shadow.PendingForQueue(qc.ID, len(d.queues))
-		n = len(d.replay[qc.ID])
+		p := d.shadow.PendingForQueue(qc.ID, len(d.queues))
+		d.replay[qc.ID] = fifo.Of(p)
+		n = len(p)
 	}
 	d.Flight.Recordf(trace.FReplay, "%s q%d epoch %d: %d logged requests scheduled for replay",
 		d.Name, qc.ID, qc.Epoch, n)

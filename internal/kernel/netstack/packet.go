@@ -150,10 +150,15 @@ func pseudoSum(src, dst IP, proto uint8, l4len int) uint32 {
 	return sum
 }
 
-// l4Checksum computes a transport checksum with pseudo-header.
-func l4Checksum(src, dst IP, proto uint8, seg []byte) uint16 {
+// l4Checksum computes a transport checksum with pseudo-header over seg,
+// reading the 2-byte checksum field at the even offset ckOff as zero — so a
+// received segment verifies in place, without a zeroed copy.
+func l4Checksum(src, dst IP, proto uint8, seg []byte, ckOff int) uint16 {
 	sum := pseudoSum(src, dst, proto, len(seg))
 	for i := 0; i+1 < len(seg); i += 2 {
+		if i == ckOff {
+			continue
+		}
 		sum += uint32(seg[i])<<8 | uint32(seg[i+1])
 	}
 	if len(seg)%2 == 1 {
@@ -169,6 +174,12 @@ func l4Checksum(src, dst IP, proto uint8, seg []byte) uint16 {
 	return ck
 }
 
+// Offsets of the checksum field in the UDP and TCP headers.
+const (
+	udpCkOff = 6
+	tcpCkOff = 16
+)
+
 // UDPHeader is a UDP header.
 type UDPHeader struct {
 	SrcPort, DstPort uint16
@@ -183,7 +194,7 @@ func MarshalUDP(dst []byte, src, dstIP IP, h UDPHeader, payload []byte) []byte {
 	dst = binary.BigEndian.AppendUint16(dst, uint16(l))
 	dst = append(dst, 0, 0) // checksum placeholder
 	dst = append(dst, payload...)
-	ck := l4Checksum(src, dstIP, ProtoUDP, dst[start:])
+	ck := l4Checksum(src, dstIP, ProtoUDP, dst[start:], udpCkOff)
 	dst[start+6] = byte(ck >> 8)
 	dst[start+7] = byte(ck)
 	return dst
@@ -198,23 +209,13 @@ func ParseUDP(src, dstIP IP, seg []byte, verify bool) (UDPHeader, []byte, error)
 	if l < UDPHeaderLen || l > len(seg) {
 		return UDPHeader{}, nil, fmt.Errorf("netstack: UDP length %d out of range", l)
 	}
-	if verify && l4Checksum(src, dstIP, ProtoUDP, zeroCksum(seg[:l], 6)) != binary.BigEndian.Uint16(seg[6:8]) {
+	if verify && l4Checksum(src, dstIP, ProtoUDP, seg[:l], udpCkOff) != binary.BigEndian.Uint16(seg[6:8]) {
 		return UDPHeader{}, nil, fmt.Errorf("netstack: bad UDP checksum")
 	}
 	return UDPHeader{
 		SrcPort: binary.BigEndian.Uint16(seg[0:2]),
 		DstPort: binary.BigEndian.Uint16(seg[2:4]),
 	}, seg[UDPHeaderLen:l], nil
-}
-
-// zeroCksum returns a copy of seg with the 2-byte checksum field at off
-// zeroed (for verification).
-func zeroCksum(seg []byte, off int) []byte {
-	c := make([]byte, len(seg))
-	copy(c, seg)
-	c[off] = 0
-	c[off+1] = 0
-	return c
 }
 
 // TCPHeader is a TCP header without options.
@@ -236,7 +237,7 @@ func MarshalTCP(dst []byte, src, dstIP IP, h TCPHeader, payload []byte) []byte {
 	dst = binary.BigEndian.AppendUint16(dst, h.Window)
 	dst = append(dst, 0, 0, 0, 0) // checksum + urgent
 	dst = append(dst, payload...)
-	ck := l4Checksum(src, dstIP, ProtoTCP, dst[start:])
+	ck := l4Checksum(src, dstIP, ProtoTCP, dst[start:], tcpCkOff)
 	dst[start+16] = byte(ck >> 8)
 	dst[start+17] = byte(ck)
 	return dst
@@ -251,7 +252,7 @@ func ParseTCP(src, dstIP IP, seg []byte, verify bool) (TCPHeader, []byte, error)
 	if dataOff < TCPHeaderLen || dataOff > len(seg) {
 		return TCPHeader{}, nil, fmt.Errorf("netstack: TCP data offset %d out of range", dataOff)
 	}
-	if verify && l4Checksum(src, dstIP, ProtoTCP, zeroCksum(seg, 16)) != binary.BigEndian.Uint16(seg[16:18]) {
+	if verify && l4Checksum(src, dstIP, ProtoTCP, seg, tcpCkOff) != binary.BigEndian.Uint16(seg[16:18]) {
 		return TCPHeader{}, nil, fmt.Errorf("netstack: bad TCP checksum")
 	}
 	return TCPHeader{
@@ -264,24 +265,27 @@ func ParseTCP(src, dstIP IP, seg []byte, verify bool) (TCPHeader, []byte, error)
 	}, seg[dataOff:], nil
 }
 
-// BuildUDPFrame assembles a complete Ethernet frame carrying a UDP datagram.
+// BuildUDPFrame assembles a complete Ethernet frame carrying a UDP datagram
+// in one buffer: the datagram length is known up front, so the IPv4 header
+// goes first and the datagram is marshalled straight behind it.
 func BuildUDPFrame(srcMAC, dstMAC MAC, srcIP, dstIP IP, sport, dport uint16, payload []byte) []byte {
-	frame := make([]byte, 0, EthHeaderLen+IPv4HeaderLen+UDPHeaderLen+len(payload))
+	l4len := UDPHeaderLen + len(payload)
+	frame := make([]byte, 0, EthHeaderLen+IPv4HeaderLen+l4len)
 	eh := EthHeader{Dst: dstMAC, Src: srcMAC, EtherType: EtherTypeIPv4}
 	frame = eh.Marshal(frame)
-	udp := MarshalUDP(nil, srcIP, dstIP, UDPHeader{SrcPort: sport, DstPort: dport}, payload)
 	ih := IPv4Header{Proto: ProtoUDP, TTL: 64, Src: srcIP, Dst: dstIP}
-	frame = ih.Marshal(frame, len(udp))
-	return append(frame, udp...)
+	frame = ih.Marshal(frame, l4len)
+	return MarshalUDP(frame, srcIP, dstIP, UDPHeader{SrcPort: sport, DstPort: dport}, payload)
 }
 
-// BuildTCPFrame assembles a complete Ethernet frame carrying a TCP segment.
+// BuildTCPFrame assembles a complete Ethernet frame carrying a TCP segment,
+// in one buffer like BuildUDPFrame.
 func BuildTCPFrame(srcMAC, dstMAC MAC, srcIP, dstIP IP, h TCPHeader, payload []byte) []byte {
-	frame := make([]byte, 0, EthHeaderLen+IPv4HeaderLen+TCPHeaderLen+len(payload))
+	l4len := TCPHeaderLen + len(payload)
+	frame := make([]byte, 0, EthHeaderLen+IPv4HeaderLen+l4len)
 	eh := EthHeader{Dst: dstMAC, Src: srcMAC, EtherType: EtherTypeIPv4}
 	frame = eh.Marshal(frame)
-	tcp := MarshalTCP(nil, srcIP, dstIP, h, payload)
 	ih := IPv4Header{Proto: ProtoTCP, TTL: 64, Src: srcIP, Dst: dstIP}
-	frame = ih.Marshal(frame, len(tcp))
-	return append(frame, tcp...)
+	frame = ih.Marshal(frame, l4len)
+	return MarshalTCP(frame, srcIP, dstIP, h, payload)
 }

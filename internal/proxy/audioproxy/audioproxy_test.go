@@ -19,7 +19,7 @@ type rig struct {
 	p *Proxy
 
 	upcalls []uchan.Msg
-	reply   func(uchan.Msg) *uchan.Msg
+	reply   func(uchan.Msg) (uchan.Msg, bool)
 }
 
 func newRig(t *testing.T) *rig {
@@ -32,12 +32,12 @@ func newRig(t *testing.T) *rig {
 	df := pciaccess.Open(k, codec, 1001, acct)
 	c := uchan.New(m.Loop, k.Acct, acct)
 	r := &rig{m: m, k: k, c: c}
-	c.DriverHandler = func(msg uchan.Msg) *uchan.Msg {
+	c.DriverHandler = func(msg uchan.Msg) (uchan.Msg, bool) {
 		r.upcalls = append(r.upcalls, msg)
 		if r.reply != nil {
 			return r.reply(msg)
 		}
-		return &uchan.Msg{Seq: msg.Seq}
+		return uchan.Msg{Seq: msg.Seq}, true
 	}
 	p, err := New(k.Audio, df, c, "hda0")
 	if err != nil {
@@ -50,12 +50,12 @@ func newRig(t *testing.T) *rig {
 
 func TestPrepareTriggerPointerUpcalls(t *testing.T) {
 	r := newRig(t)
-	r.reply = func(m uchan.Msg) *uchan.Msg {
-		rep := &uchan.Msg{Seq: m.Seq}
+	r.reply = func(m uchan.Msg) (uchan.Msg, bool) {
+		rep := uchan.Msg{Seq: m.Seq}
 		if m.Op == OpPointer {
 			rep.Args[1] = 4800
 		}
-		return rep
+		return rep, true
 	}
 	dev := (*proxyDev)(r.p)
 	if err := dev.PrepareStream(48000, 4800, 4); err != nil {

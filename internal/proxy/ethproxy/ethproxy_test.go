@@ -27,7 +27,7 @@ type rig struct {
 
 	// upcalls captured on the "driver" side.
 	upcalls []uchan.Msg
-	reply   func(m uchan.Msg) *uchan.Msg
+	reply   func(m uchan.Msg) (uchan.Msg, bool)
 }
 
 func newRig(t *testing.T) *rig {
@@ -40,12 +40,12 @@ func newRig(t *testing.T) *rig {
 	df := pciaccess.Open(k, nic, 1001, acct)
 	mc := uchan.NewMulti(m.Loop, k.Acct, []*sim.CPUAccount{acct})
 	r := &rig{m: m, k: k, df: df, mc: mc, c: mc.Queue(0)}
-	mc.SetDriverHandler(func(_ int, msg uchan.Msg) *uchan.Msg {
+	mc.SetDriverHandler(func(_ int, msg uchan.Msg) (uchan.Msg, bool) {
 		r.upcalls = append(r.upcalls, msg)
 		if r.reply != nil {
 			return r.reply(msg)
 		}
-		return &uchan.Msg{Seq: msg.Seq}
+		return uchan.Msg{Seq: msg.Seq}, true
 	})
 	ki := &KernelIface{Acct: k.Acct, Mem: m.Mem, Net: k.Net}
 	p, err := New(ki, df, mc, "eth0", mac)
@@ -82,12 +82,12 @@ func TestRegistrationCreatesIfaceAndPool(t *testing.T) {
 
 func TestOpenStopIoctlRoundTrip(t *testing.T) {
 	r := newRig(t)
-	r.reply = func(m uchan.Msg) *uchan.Msg {
-		rep := &uchan.Msg{Seq: m.Seq}
+	r.reply = func(m uchan.Msg) (uchan.Msg, bool) {
+		rep := uchan.Msg{Seq: m.Seq}
 		if m.Op == OpIoctl {
 			rep.Data = []byte{0xAB}
 		}
-		return rep
+		return rep, true
 	}
 	dev := (*proxyDev)(r.p)
 	if err := dev.Open(); err != nil {
@@ -101,8 +101,8 @@ func TestOpenStopIoctlRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Driver-reported failure propagates.
-	r.reply = func(m uchan.Msg) *uchan.Msg {
-		return &uchan.Msg{Seq: m.Seq, Args: [6]uint64{1}, Data: []byte("boom")}
+	r.reply = func(m uchan.Msg) (uchan.Msg, bool) {
+		return uchan.Msg{Seq: m.Seq, Args: [6]uint64{1}, Data: []byte("boom")}, true
 	}
 	if err := dev.Open(); err == nil {
 		t.Fatal("driver open failure swallowed")
@@ -172,12 +172,12 @@ func newRigQ(t *testing.T, queues int) *rig {
 	df := pciaccess.Open(k, nic, 1001, accts[0])
 	mc := uchan.NewMulti(m.Loop, k.Acct, accts)
 	r := &rig{m: m, k: k, df: df, mc: mc, c: mc.Queue(0)}
-	mc.SetDriverHandler(func(_ int, msg uchan.Msg) *uchan.Msg {
+	mc.SetDriverHandler(func(_ int, msg uchan.Msg) (uchan.Msg, bool) {
 		r.upcalls = append(r.upcalls, msg)
 		if r.reply != nil {
 			return r.reply(msg)
 		}
-		return &uchan.Msg{Seq: msg.Seq}
+		return uchan.Msg{Seq: msg.Seq}, true
 	})
 	ki := &KernelIface{Acct: k.Acct, Mem: m.Mem, Net: k.Net}
 	p, err := New(ki, df, mc, "eth0", mac)

@@ -7,15 +7,23 @@ import (
 
 // Event is a scheduled callback. Events fire in timestamp order; ties are
 // broken by scheduling order so the simulation is fully deterministic.
+//
+// Fire-and-forget callbacks (At, After) never see their Event: the loop takes
+// it from a free list and returns it there when it fires. A caller that
+// cancels or re-arms a timer owns an Event value instead: it binds Fn once,
+// schedules it with Arm/ArmAfter, stops it with Cancel and asks Pending —
+// so re-arming a timer allocates nothing.
 type Event struct {
-	At  Time
-	Fn  func()
-	seq uint64
-	idx int // heap index; -1 once popped or cancelled
+	At Time
+	Fn func()
+
+	seq    uint64
+	pos    int  // heap index + 1; 0 while not scheduled
+	pooled bool // owned by the loop's free list (At/After)
 }
 
-// Cancelled reports whether the event was cancelled or already dispatched.
-func (e *Event) Cancelled() bool { return e.idx == -1 && e.Fn == nil }
+// Pending reports whether the event is scheduled and has not yet fired.
+func (e *Event) Pending() bool { return e.pos != 0 }
 
 type eventQueue []*Event
 
@@ -28,20 +36,20 @@ func (q eventQueue) Less(i, j int) bool {
 }
 func (q eventQueue) Swap(i, j int) {
 	q[i], q[j] = q[j], q[i]
-	q[i].idx = i
-	q[j].idx = j
+	q[i].pos = i + 1
+	q[j].pos = j + 1
 }
 func (q *eventQueue) Push(x any) {
 	e := x.(*Event)
-	e.idx = len(*q)
 	*q = append(*q, e)
+	e.pos = len(*q)
 }
 func (q *eventQueue) Pop() any {
 	old := *q
 	n := len(old)
 	e := old[n-1]
 	old[n-1] = nil
-	e.idx = -1
+	e.pos = 0
 	*q = old[:n-1]
 	return e
 }
@@ -53,6 +61,7 @@ type Loop struct {
 	Clock Clock
 
 	queue   eventQueue
+	free    []*Event // fired At/After events, reused by the next At
 	nextSeq uint64
 	stopped bool
 
@@ -66,37 +75,70 @@ func NewLoop() *Loop { return &Loop{} }
 func (l *Loop) Now() Time { return l.Clock.Now() }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
-// panics — it would mean the model lost causality.
-func (l *Loop) At(t Time, fn func()) *Event {
+// panics — it would mean the model lost causality. The callback cannot be
+// cancelled; a timer that may be cancelled or re-armed is an owned Event
+// (Arm).
+func (l *Loop) At(t Time, fn func()) {
 	if fn == nil {
 		panic("sim: scheduling nil event func")
 	}
-	if t < l.Clock.Now() {
-		panic(fmt.Sprintf("sim: scheduling event in the past (%v < %v)", t, l.Clock.Now()))
+	var e *Event
+	if n := len(l.free); n > 0 {
+		e = l.free[n-1]
+		l.free = l.free[:n-1]
+	} else {
+		e = &Event{pooled: true}
 	}
-	e := &Event{At: t, Fn: fn, seq: l.nextSeq}
-	l.nextSeq++
-	heap.Push(&l.queue, e)
-	return e
+	e.Fn = fn
+	l.schedule(e, t)
 }
 
 // After schedules fn to run d nanoseconds from now.
-func (l *Loop) After(d Duration, fn func()) *Event {
+func (l *Loop) After(d Duration, fn func()) {
+	l.At(l.afterNow(d), fn)
+}
+
+// Arm schedules the caller-owned event e to fire e.Fn at absolute virtual
+// time t. Arming an event that is already pending panics: a re-armed timer
+// is cancelled first, so two firings can never be in flight.
+func (l *Loop) Arm(e *Event, t Time) {
+	if e.Fn == nil {
+		panic("sim: arming event with nil Fn")
+	}
+	if e.Pending() {
+		panic("sim: arming a pending event")
+	}
+	l.schedule(e, t)
+}
+
+// ArmAfter arms the caller-owned event e to fire d nanoseconds from now.
+func (l *Loop) ArmAfter(e *Event, d Duration) { l.Arm(e, l.afterNow(d)) }
+
+func (l *Loop) afterNow(d Duration) Time {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: scheduling event with negative delay %d", d))
 	}
-	return l.At(l.Clock.Now()+d, fn)
+	return l.Clock.Now() + d
 }
 
-// Cancel removes a pending event. Cancelling an already-fired or
-// already-cancelled event is a harmless no-op.
-func (l *Loop) Cancel(e *Event) {
-	if e == nil || e.idx == -1 {
-		return
+// schedule queues e at t; seq is assigned here, so events scheduled for one
+// instant fire in the order they were scheduled, however they were created.
+func (l *Loop) schedule(e *Event, t Time) {
+	if t < l.Clock.Now() {
+		panic(fmt.Sprintf("sim: scheduling event in the past (%v < %v)", t, l.Clock.Now()))
 	}
-	heap.Remove(&l.queue, e.idx)
-	e.idx = -1
-	e.Fn = nil
+	e.At = t
+	e.seq = l.nextSeq
+	l.nextSeq++
+	heap.Push(&l.queue, e)
+}
+
+// Cancel unschedules an owned event. Cancelling an event that already fired
+// or was already cancelled is a harmless no-op.
+func (l *Loop) Cancel(e *Event) {
+	if e.Pending() {
+		heap.Remove(&l.queue, e.pos-1)
+	}
 }
 
 // Pending reports the number of events waiting to fire.
@@ -109,7 +151,9 @@ func (l *Loop) Dispatched() uint64 { return l.dispatched }
 func (l *Loop) Stop() { l.stopped = true }
 
 // Step dispatches the single earliest pending event, advancing the clock to
-// its timestamp. It reports false if the queue was empty.
+// its timestamp. It reports false if the queue was empty. A fire-and-forget
+// event returns to the free list before its callback runs, so the callback's
+// own At can reuse it.
 func (l *Loop) Step() bool {
 	if len(l.queue) == 0 {
 		return false
@@ -117,7 +161,10 @@ func (l *Loop) Step() bool {
 	e := heap.Pop(&l.queue).(*Event)
 	l.Clock.advanceTo(e.At)
 	fn := e.Fn
-	e.Fn = nil
+	if e.pooled {
+		e.Fn = nil
+		l.free = append(l.free, e)
+	}
 	l.dispatched++
 	fn()
 	return true

@@ -27,6 +27,7 @@ import (
 	"fmt"
 
 	"sud/internal/drivers/api"
+	"sud/internal/fifo"
 	"sud/internal/kernel"
 	"sud/internal/kernel/netstack"
 	"sud/internal/mem"
@@ -85,13 +86,13 @@ type Process struct {
 	// pendingTx holds, per queue, transmit upcalls the driver's TX ring
 	// had no room for; they drain after descriptor reclaim (interrupt
 	// handling).
-	pendingTx  [][]uchan.Msg
+	pendingTx  []fifo.Queue[uchan.Msg]
 	retryTimer []bool
 
 	// pendingBlk holds, per queue, block submissions the driver's
 	// hardware queue had no room for; they drain after completion
 	// processing, exactly like pendingTx.
-	pendingBlk    [][]uchan.Msg
+	pendingBlk    []fifo.Queue[uchan.Msg]
 	blkRetryTimer []bool
 
 	// blkComp accumulates, per queue, I/O completion references awaiting
@@ -237,10 +238,10 @@ func newShellQ(k *kernel.Kernel, dev pci.Device, drv api.Driver, name string, ui
 		QueueAccts:    accts,
 		driver:        drv,
 		sliceAddrs:    make(map[*byte]mem.Addr),
-		pendingTx:     make([][]uchan.Msg, len(accts)),
+		pendingTx:     make([]fifo.Queue[uchan.Msg], len(accts)),
 		retryTimer:    make([]bool, len(accts)),
 		rxBatch:       make([][]ethproxy.RxRef, len(accts)),
-		pendingBlk:    make([][]uchan.Msg, len(accts)),
+		pendingBlk:    make([]fifo.Queue[uchan.Msg], len(accts)),
 		blkRetryTimer: make([]bool, len(accts)),
 		blkComp:       make([][]blkproxy.CompRef, len(accts)),
 		flushMeta:     make(map[uint64]blkproxy.FlushOp),
@@ -469,9 +470,9 @@ func (p *Process) routeDowncall(q int, m uchan.Msg) {
 
 // dispatch services one upcall in driver-process context; q is the ring the
 // message arrived on (its service thread runs the handler).
-func (p *Process) dispatch(q int, m uchan.Msg) *uchan.Msg {
+func (p *Process) dispatch(q int, m uchan.Msg) (uchan.Msg, bool) {
 	if p.killed {
-		return nil
+		return uchan.Msg{}, false
 	}
 	if m.Op >= protocol.WifiBase && m.Op < protocol.AudioBase && p.wifidev != nil {
 		return p.dispatchWifi(m)
@@ -485,15 +486,11 @@ func (p *Process) dispatch(q int, m uchan.Msg) *uchan.Msg {
 	switch m.Op {
 	case protocol.OpCtl:
 		if p.ctl == nil {
-			return &uchan.Msg{Seq: m.Seq, Args: [6]uint64{1}, Data: []byte("no ctl handler")}
+			return uchan.Msg{Seq: m.Seq, Args: [6]uint64{1}, Data: []byte("no ctl handler")}, true
 		}
 		p.Acct.Charge(sim.CostWorkerDispatch)
 		out, err := p.ctl.Ctl(uint32(m.Args[0]), m.Data)
-		r := replyErr(m, err)
-		if err == nil {
-			r.Data = out
-		}
-		return r
+		return replyData(m, out, err)
 	case ethproxy.OpOpen:
 		// Open may block (the e1000e sleeps probing interrupt modes,
 		// §4.2), so the idle thread hands it to a worker.
@@ -505,20 +502,16 @@ func (p *Process) dispatch(q int, m uchan.Msg) *uchan.Msg {
 	case ethproxy.OpIoctl:
 		p.Acct.Charge(sim.CostWorkerDispatch)
 		out, err := p.netdev.DoIoctl(uint32(m.Args[0]), m.Data)
-		r := replyErr(m, err)
-		if err == nil {
-			r.Data = out
-		}
-		return r
+		return replyData(m, out, err)
 	case ethproxy.OpXmit:
 		p.handleXmit(q, m)
-		return &uchan.Msg{Seq: m.Seq}
+		return ack(m)
 	case ethproxy.OpPageRecycle:
 		p.handleRecycle(q, m, ethproxy.OpRecycleAck)
-		return &uchan.Msg{Seq: m.Seq}
+		return ack(m)
 	case ethproxy.OpQueueEpoch:
 		p.handleQueueEpoch(m)
-		return &uchan.Msg{Seq: m.Seq}
+		return ack(m)
 	case protocol.OpInterrupt:
 		if p.irqHandler != nil {
 			p.irqHandler()
@@ -543,14 +536,14 @@ func (p *Process) dispatch(q int, m uchan.Msg) *uchan.Msg {
 		// on the same drain that serviced the interrupt.
 		p.flushRxBatches()
 		p.flushBlkComps()
-		return &uchan.Msg{Seq: m.Seq}
+		return ack(m)
 	default:
-		return &uchan.Msg{Seq: m.Seq, Args: [6]uint64{1}}
+		return uchan.Msg{Seq: m.Seq, Args: [6]uint64{1}}, true
 	}
 }
 
 // dispatchWifi services wireless-class upcalls.
-func (p *Process) dispatchWifi(m uchan.Msg) *uchan.Msg {
+func (p *Process) dispatchWifi(m uchan.Msg) (uchan.Msg, bool) {
 	switch m.Op {
 	case wifiproxy.OpOpen:
 		p.Acct.Charge(sim.CostWorkerDispatch)
@@ -562,29 +555,29 @@ func (p *Process) dispatchWifi(m uchan.Msg) *uchan.Msg {
 		if err := p.wifidev.StartScan(); err != nil {
 			p.K.Logf("[sud:%s] scan failed: %v", p.Name, err)
 		}
-		return &uchan.Msg{Seq: m.Seq}
+		return ack(m)
 	case wifiproxy.OpAssoc:
 		if err := p.wifidev.Associate(string(m.Data)); err != nil {
 			// Report failure through the mirrored state path.
 			_ = p.Chan.Down(uchan.Msg{Op: wifiproxy.OpDisassociated})
 		}
-		return &uchan.Msg{Seq: m.Seq}
+		return ack(m)
 	case wifiproxy.OpDisassoc:
 		_ = p.wifidev.Disassociate()
-		return &uchan.Msg{Seq: m.Seq}
+		return ack(m)
 	case wifiproxy.OpXmit:
 		p.Acct.Charge(sim.Copy(len(m.Data)))
 		if err := p.wifidev.StartXmit(m.Data); err != nil {
 			p.XmitRingDrops++
 		}
-		return &uchan.Msg{Seq: m.Seq}
+		return ack(m)
 	default:
-		return &uchan.Msg{Seq: m.Seq, Args: [6]uint64{1}}
+		return uchan.Msg{Seq: m.Seq, Args: [6]uint64{1}}, true
 	}
 }
 
 // dispatchAudio services audio-class upcalls.
-func (p *Process) dispatchAudio(m uchan.Msg) *uchan.Msg {
+func (p *Process) dispatchAudio(m uchan.Msg) (uchan.Msg, bool) {
 	switch m.Op {
 	case audioproxy.OpPrepare:
 		p.Acct.Charge(sim.CostWorkerDispatch)
@@ -594,22 +587,22 @@ func (p *Process) dispatchAudio(m uchan.Msg) *uchan.Msg {
 		if err := p.audiodev.WritePeriod(int(m.Args[0]), m.Data); err != nil {
 			p.K.Logf("[sud:%s] period write failed: %v", p.Name, err)
 		}
-		return &uchan.Msg{Seq: m.Seq}
+		return ack(m)
 	case audioproxy.OpTrigger:
 		p.Acct.Charge(sim.CostWorkerDispatch)
 		return replyErr(m, p.audiodev.Trigger(m.Args[0] == 1))
 	case audioproxy.OpPointer:
 		pos, err := p.audiodev.Pointer()
-		r := replyErr(m, err)
+		r, ok := replyErr(m, err)
 		r.Args[1] = uint64(pos)
-		return r
+		return r, ok
 	default:
-		return &uchan.Msg{Seq: m.Seq, Args: [6]uint64{1}}
+		return uchan.Msg{Seq: m.Seq, Args: [6]uint64{1}}, true
 	}
 }
 
 // dispatchBlock services block-class upcalls.
-func (p *Process) dispatchBlock(q int, m uchan.Msg) *uchan.Msg {
+func (p *Process) dispatchBlock(q int, m uchan.Msg) (uchan.Msg, bool) {
 	switch m.Op {
 	case blkproxy.OpOpen:
 		// Open may block (queue creation sleeps); hand it to a worker.
@@ -623,15 +616,15 @@ func (p *Process) dispatchBlock(q int, m uchan.Msg) *uchan.Msg {
 		// submissions, so a full hardware queue delays — never drops —
 		// a barrier, and held work stays in order.
 		p.handleBlkSubmit(q, m)
-		return &uchan.Msg{Seq: m.Seq}
+		return ack(m)
 	case blkproxy.OpPageRecycle:
 		p.handleRecycle(q, m, blkproxy.OpRecycleAck)
-		return &uchan.Msg{Seq: m.Seq}
+		return ack(m)
 	case blkproxy.OpQueueEpoch:
 		p.handleQueueEpoch(m)
-		return &uchan.Msg{Seq: m.Seq}
+		return ack(m)
 	default:
-		return &uchan.Msg{Seq: m.Seq, Args: [6]uint64{1}}
+		return uchan.Msg{Seq: m.Seq, Args: [6]uint64{1}}, true
 	}
 }
 
@@ -655,8 +648,8 @@ func (p *Process) handleQueueEpoch(m uchan.Msg) {
 	}
 	p.qep[s.Queue] = uint64(s.Epoch)
 	p.qparked[s.Queue] = false
-	p.pendingBlk[s.Queue] = nil
-	p.pendingTx[s.Queue] = nil
+	p.pendingBlk[s.Queue].Clear()
+	p.pendingTx[s.Queue].Clear()
 	p.blkComp[s.Queue] = p.blkComp[s.Queue][:0]
 }
 
@@ -690,13 +683,26 @@ func (p *Process) handleRecycle(q int, m uchan.Msg, ackOp uint32) {
 	}
 }
 
-func replyErr(m uchan.Msg, err error) *uchan.Msg {
-	r := &uchan.Msg{Seq: m.Seq}
+// ack is the bare reply to upcall m.
+func ack(m uchan.Msg) (uchan.Msg, bool) { return uchan.Msg{Seq: m.Seq}, true }
+
+// replyErr is the reply to upcall m carrying err's verdict.
+func replyErr(m uchan.Msg, err error) (uchan.Msg, bool) {
+	r := uchan.Msg{Seq: m.Seq}
 	if err != nil {
 		r.Args[0] = 1
 		r.Data = []byte(err.Error())
 	}
-	return r
+	return r, true
+}
+
+// replyData is replyErr carrying out as the payload on success.
+func replyData(m uchan.Msg, out []byte, err error) (uchan.Msg, bool) {
+	r, ok := replyErr(m, err)
+	if err == nil {
+		r.Data = out
+	}
+	return r, ok
 }
 
 // xmitRetryDelay is the fallback pacing when held packets cannot ride on an
@@ -714,7 +720,7 @@ const maxPendingTx = uchan.RingSlots
 // hardware queue never stalls a sibling's transmit path.
 func (p *Process) handleXmit(q int, m uchan.Msg) {
 	p.K.M.Trace.Event(trace.ClassNetTx, q, m.Args[2], trace.HopUchanDeq)
-	if len(p.pendingTx[q]) > 0 {
+	if p.pendingTx[q].Len() > 0 {
 		p.holdXmit(q, m)
 		return
 	}
@@ -724,12 +730,12 @@ func (p *Process) handleXmit(q int, m uchan.Msg) {
 }
 
 func (p *Process) holdXmit(q int, m uchan.Msg) {
-	if len(p.pendingTx[q]) >= maxPendingTx {
+	if p.pendingTx[q].Len() >= maxPendingTx {
 		p.XmitRingDrops++
 		p.xmitDone(q, m.Args[2])
 		return
 	}
-	p.pendingTx[q] = append(p.pendingTx[q], m)
+	p.pendingTx[q].Push(m)
 	if !p.retryTimer[q] {
 		p.retryTimer[q] = true
 		p.K.M.Loop.After(xmitRetryDelay, func() { p.retryPendingTx(q) })
@@ -745,7 +751,7 @@ func (p *Process) retryPendingTx(q int) {
 	p.drainPendingTxQ(q)
 	p.kickPending()
 	p.Chan.Flush()
-	if len(p.pendingTx[q]) > 0 && !p.retryTimer[q] {
+	if p.pendingTx[q].Len() > 0 && !p.retryTimer[q] {
 		p.retryTimer[q] = true
 		p.K.M.Loop.After(xmitRetryDelay, func() { p.retryPendingTx(q) })
 	}
@@ -761,11 +767,11 @@ func (p *Process) drainPendingTx() {
 
 // drainPendingTxQ feeds queue q's held packets in order.
 func (p *Process) drainPendingTxQ(q int) {
-	for len(p.pendingTx[q]) > 0 {
-		if !p.tryXmit(q, p.pendingTx[q][0]) {
+	for p.pendingTx[q].Len() > 0 {
+		if !p.tryXmit(q, p.pendingTx[q].Peek()) {
 			return
 		}
-		p.pendingTx[q] = p.pendingTx[q][1:]
+		p.pendingTx[q].Pop()
 	}
 }
 
@@ -817,7 +823,7 @@ func (p *Process) handleBlkSubmit(q int, m uchan.Msg) {
 	if m.Op != blkproxy.OpFlush {
 		p.K.M.Trace.Event(trace.ClassBlk, q, m.Args[5], trace.HopUchanDeq)
 	}
-	if len(p.pendingBlk[q]) > 0 {
+	if p.pendingBlk[q].Len() > 0 {
 		p.holdBlkSubmit(q, m)
 		return
 	}
@@ -827,13 +833,13 @@ func (p *Process) handleBlkSubmit(q int, m uchan.Msg) {
 }
 
 func (p *Process) holdBlkSubmit(q int, m uchan.Msg) {
-	if len(p.pendingBlk[q]) >= maxPendingTx {
+	if p.pendingBlk[q].Len() >= maxPendingTx {
 		// Hold queue overflow: complete the request as a drop so the
 		// kernel's slot is released.
 		p.blkCompDone(q, m.Args[5], 1)
 		return
 	}
-	p.pendingBlk[q] = append(p.pendingBlk[q], m)
+	p.pendingBlk[q].Push(m)
 	if !p.blkRetryTimer[q] {
 		p.blkRetryTimer[q] = true
 		p.K.M.Loop.After(xmitRetryDelay, func() { p.retryPendingBlk(q) })
@@ -854,7 +860,7 @@ func (p *Process) retryPendingBlk(q int) {
 	p.kickPending()
 	p.flushBlkComps()
 	p.Chan.Flush()
-	if len(p.pendingBlk[q]) > 0 && !p.blkRetryTimer[q] {
+	if p.pendingBlk[q].Len() > 0 && !p.blkRetryTimer[q] {
 		p.blkRetryTimer[q] = true
 		p.K.M.Loop.After(xmitRetryDelay, func() { p.retryPendingBlk(q) })
 	}
@@ -869,11 +875,11 @@ func (p *Process) drainPendingBlk() {
 }
 
 func (p *Process) drainPendingBlkQ(q int) {
-	for len(p.pendingBlk[q]) > 0 {
-		if !p.tryBlkSubmit(q, p.pendingBlk[q][0]) {
+	for p.pendingBlk[q].Len() > 0 {
+		if !p.tryBlkSubmit(q, p.pendingBlk[q].Peek()) {
 			return
 		}
-		p.pendingBlk[q] = p.pendingBlk[q][1:]
+		p.pendingBlk[q].Pop()
 	}
 }
 

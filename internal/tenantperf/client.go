@@ -61,7 +61,10 @@ type conn struct {
 	inflight  uint64 // outstanding request id, 0 = idle
 	firstSent sim.Time
 	lastReq   []byte
-	rtoEv     *sim.Event
+	// rtoEv is the retransmit timer (fires onRTO); issueFn is issue, bound
+	// once for the turnaround timer.
+	rtoEv   sim.Event
+	issueFn func()
 }
 
 // NewClient builds the tenant population for cfg; Start begins the load.
@@ -87,6 +90,8 @@ func NewClient(loop *sim.Loop, link *ethlink.Link, side int, cfg Config) *Client
 				key: []byte(fmt.Sprintf("t%d-c%d", t, i)),
 				val: make([]byte, 64),
 			}
+			cn.rtoEv.Fn = cn.onRTO
+			cn.issueFn = cn.issue
 			c.bySport[sport] = cn
 			tl.conns = append(tl.conns, cn)
 			sport++
@@ -103,8 +108,7 @@ func (c *Client) Start() {
 	i := 0
 	for _, tl := range c.Tenants {
 		for _, cn := range tl.conns {
-			cn := cn
-			c.loop.After(sim.Duration(i)*3*sim.Microsecond, cn.issue)
+			c.loop.After(sim.Duration(i)*3*sim.Microsecond, cn.issueFn)
 			i++
 		}
 	}
@@ -174,13 +178,16 @@ func (cn *conn) xmit() {
 		// Wire FIFO full: the RTO doubles as the retry pacer.
 		cn.t.SendErrs++
 	}
-	cn.rtoEv = cn.c.loop.After(cn.c.rto, func() {
-		if cn.c.stopped || cn.inflight == 0 {
-			return
-		}
-		cn.t.Retrans++
-		cn.xmit()
-	})
+	cn.c.loop.ArmAfter(&cn.rtoEv, cn.c.rto)
+}
+
+// onRTO retransmits a request still unanswered when its timer fires.
+func (cn *conn) onRTO() {
+	if cn.c.stopped || cn.inflight == 0 {
+		return
+	}
+	cn.t.Retrans++
+	cn.xmit()
 }
 
 // onReply accepts the reply for the outstanding request; anything else is a
@@ -194,11 +201,8 @@ func (cn *conn) onReply(resp kvserve.Response) {
 		return
 	}
 	cn.inflight = 0
-	if cn.rtoEv != nil {
-		cn.c.loop.Cancel(cn.rtoEv)
-		cn.rtoEv = nil
-	}
+	cn.c.loop.Cancel(&cn.rtoEv)
 	cn.t.Lat.Record(cn.c.loop.Now() - cn.firstSent)
 	cn.t.Replies++
-	cn.c.loop.After(cn.c.turnaround, cn.issue)
+	cn.c.loop.After(cn.c.turnaround, cn.issueFn)
 }

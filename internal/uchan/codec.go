@@ -46,27 +46,28 @@ var (
 	ErrSlotPayload = errors.New("uchan: slot payload truncated")
 )
 
-// EncodeSlot marshals one message and its queue tag into ring-slot bytes.
-func EncodeSlot(queue int, m Msg) []byte {
-	buf := make([]byte, slotHeaderLen+len(m.Data))
-	binary.LittleEndian.PutUint32(buf[0:4], m.Op)
-	binary.LittleEndian.PutUint32(buf[4:8], m.Seq)
-	binary.LittleEndian.PutUint16(buf[8:10], uint16(queue))
+// AppendSlot marshals one message and its queue tag as ring-slot bytes
+// appended to dst, and returns the extended slice.
+func AppendSlot(dst []byte, queue int, m Msg) []byte {
 	var flags uint16
 	if m.urgent {
 		flags |= flagUrgent
 	}
-	binary.LittleEndian.PutUint16(buf[10:12], flags)
-	for i, a := range m.Args {
-		binary.LittleEndian.PutUint64(buf[12+8*i:20+8*i], a)
+	dst = binary.LittleEndian.AppendUint32(dst, m.Op)
+	dst = binary.LittleEndian.AppendUint32(dst, m.Seq)
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(queue))
+	dst = binary.LittleEndian.AppendUint16(dst, flags)
+	for _, a := range m.Args {
+		dst = binary.LittleEndian.AppendUint64(dst, a)
 	}
-	binary.LittleEndian.PutUint32(buf[60:64], uint32(len(m.Data)))
-	copy(buf[slotHeaderLen:], m.Data)
-	return buf
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(m.Data)))
+	return append(dst, m.Data...)
 }
 
 // DecodeSlot unmarshals ring-slot bytes written by the (untrusted) peer. It
-// never panics on arbitrary input; malformed slots return an error.
+// never panics on arbitrary input; malformed slots return an error. The
+// payload is copied out: the bytes stay in shared memory the driver can
+// rewrite, so the kernel works only on its own copy (§3.1.1).
 func DecodeSlot(buf []byte) (queue int, m Msg, err error) {
 	if len(buf) < slotHeaderLen {
 		return 0, Msg{}, ErrSlotShort

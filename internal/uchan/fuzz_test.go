@@ -17,7 +17,7 @@ func TestSlotRoundTrip(t *testing.T) {
 		{MaxQueues - 1, Msg{Data: bytes.Repeat([]byte{0xA5}, MaxSlotData)}},
 	}
 	for _, tc := range msgs {
-		q, m, err := DecodeSlot(EncodeSlot(tc.q, tc.m))
+		q, m, err := DecodeSlot(AppendSlot(nil, tc.q, tc.m))
 		if err != nil {
 			t.Fatalf("decode(%d, %+v): %v", tc.q, tc.m, err)
 		}
@@ -26,6 +26,27 @@ func TestSlotRoundTrip(t *testing.T) {
 			!bytes.Equal(m.Data, tc.m.Data) {
 			t.Fatalf("round trip mangled: in (%d, %+v), out (%d, %+v)", tc.q, tc.m, q, m)
 		}
+	}
+}
+
+// TestAppendSlotExtends: slots appended back to back into one buffer each
+// decode on their own, and the decoded payload is the kernel's own copy —
+// rewriting the shared bytes afterwards does not reach it.
+func TestAppendSlotExtends(t *testing.T) {
+	buf := AppendSlot(nil, 1, Msg{Op: 5, Data: []byte("first")})
+	split := len(buf)
+	buf = AppendSlot(buf, 2, Msg{Op: 6, Data: []byte("second")})
+	q1, m1, err1 := DecodeSlot(buf[:split])
+	q2, m2, err2 := DecodeSlot(buf[split:])
+	if err1 != nil || err2 != nil || q1 != 1 || q2 != 2 || m1.Op != 5 || m2.Op != 6 ||
+		string(m1.Data) != "first" || string(m2.Data) != "second" {
+		t.Fatalf("appended slots: (%d %+v %v) (%d %+v %v)", q1, m1, err1, q2, m2, err2)
+	}
+	for i := range buf {
+		buf[i] = 0xEE
+	}
+	if string(m1.Data) != "first" || string(m2.Data) != "second" {
+		t.Fatal("decoded payload aliases the shared slot bytes")
 	}
 }
 
@@ -39,19 +60,19 @@ func TestSlotDecodeRejectsMalformed(t *testing.T) {
 		t.Fatalf("short slot: %v", err)
 	}
 	// Queue tag out of range.
-	b := EncodeSlot(0, Msg{Op: 1})
+	b := AppendSlot(nil, 0, Msg{Op: 1})
 	b[8], b[9] = 0xFF, 0xFF
 	if _, _, err := DecodeSlot(b); err != ErrSlotQueue {
 		t.Fatalf("bad queue: %v", err)
 	}
 	// Length field larger than the buffer.
-	b = EncodeSlot(1, Msg{Data: []byte{1, 2, 3}})
+	b = AppendSlot(nil, 1, Msg{Data: []byte{1, 2, 3}})
 	b[60] = 0x10
 	if _, _, err := DecodeSlot(b); err != ErrSlotPayload {
 		t.Fatalf("truncated payload: %v", err)
 	}
 	// Length field absurd.
-	b = EncodeSlot(1, Msg{})
+	b = AppendSlot(nil, 1, Msg{})
 	b[62] = 0xFF
 	if _, _, err := DecodeSlot(b); err != ErrSlotLength {
 		t.Fatalf("absurd length: %v", err)
@@ -64,8 +85,8 @@ func TestSlotDecodeRejectsMalformed(t *testing.T) {
 // re-encode to a slot that decodes identically (no parser ambiguity).
 func FuzzDecodeSlot(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(EncodeSlot(0, Msg{Op: 1, Seq: 2}))
-	f.Add(EncodeSlot(3, Msg{Op: 0xFFFFFFFF, Data: []byte("frame bytes")}))
+	f.Add(AppendSlot(nil, 0, Msg{Op: 1, Seq: 2}))
+	f.Add(AppendSlot(nil, 3, Msg{Op: 0xFFFFFFFF, Data: []byte("frame bytes")}))
 	f.Add(bytes.Repeat([]byte{0xFF}, slotHeaderLen+16))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		q, m, err := DecodeSlot(data)
@@ -78,7 +99,7 @@ func FuzzDecodeSlot(f *testing.F) {
 		if len(m.Data) > MaxSlotData {
 			t.Fatalf("accepted %d payload bytes", len(m.Data))
 		}
-		q2, m2, err := DecodeSlot(EncodeSlot(q, m))
+		q2, m2, err := DecodeSlot(AppendSlot(nil, q, m))
 		if err != nil {
 			t.Fatalf("re-encode failed to decode: %v", err)
 		}

@@ -82,14 +82,14 @@ func (mc *MultiChan) clamp(q int) int {
 // thread drains). On multi-queue channels, draining an interrupt-class
 // message also pokes sibling rings so their queued bulk messages ride the
 // interrupt wake.
-func (mc *MultiChan) SetDriverHandler(h func(q int, m Msg) *Msg) {
+func (mc *MultiChan) SetDriverHandler(h func(q int, m Msg) (Msg, bool)) {
 	for i, c := range mc.queues {
 		q := i
-		c.DriverHandler = func(m Msg) *Msg { return h(q, m) }
+		c.DriverHandler = func(m Msg) (Msg, bool) { return h(q, m) }
 	}
 	if mc.urgent != mc.queues[0] {
-		mc.urgent.DriverHandler = func(m Msg) *Msg {
-			r := h(0, m)
+		mc.urgent.DriverHandler = func(m Msg) (Msg, bool) {
+			r, ok := h(0, m)
 			// Interrupt service may have queued downcalls (IRQ ack,
 			// netif_rx, xmit completions) on any ring: deliver them now
 			// — on a single-queue channel the same drain that services
@@ -99,7 +99,7 @@ func (mc *MultiChan) SetDriverHandler(h func(q int, m Msg) *Msg) {
 				c.Flush()
 				c.Poke()
 			}
-			return r
+			return r, ok
 		}
 	}
 }
@@ -172,14 +172,15 @@ func (mc *MultiChan) Down(m Msg) error { return mc.DownQ(0, m) }
 
 // DownQ queues an asynchronous downcall on queue q's ring. On multi-queue
 // channels the slot crosses the ring in the codec.go byte framing — the
-// driver side writes bytes, and the kernel-side dequeue (SetKernelHandler)
-// decodes them defensively before dispatch.
+// driver side writes bytes into the ring's batch storage, and the
+// kernel-side dequeue (SetKernelHandler) decodes them defensively before
+// dispatch.
 func (mc *MultiChan) DownQ(q int, m Msg) error {
 	q = mc.clamp(q)
 	if len(mc.queues) == 1 {
 		return mc.queues[0].Down(m)
 	}
-	return mc.queues[q].Down(Msg{Op: opEncodedSlot, Data: EncodeSlot(q, m)})
+	return mc.queues[q].downSlot(q, m)
 }
 
 // Flush delivers every queue's batched downcalls, one doorbell per

@@ -29,9 +29,9 @@ func newMfix(queues int) *mfix {
 	stats := sim.NewCPUStats(queues + 1)
 	f := &mfix{loop: loop, stats: stats, kern: stats.Account("kernel")}
 	f.mc = NewMulti(loop, f.kern, stats.QueueAccounts("driver", queues))
-	f.mc.SetDriverHandler(func(q int, m Msg) *Msg {
+	f.mc.SetDriverHandler(func(q int, m Msg) (Msg, bool) {
 		f.served = append(f.served, servedMsg{q, m})
-		return &Msg{Seq: m.Seq}
+		return Msg{Seq: m.Seq}, true
 	})
 	f.mc.SetKernelHandler(func(q int, m Msg) {
 		f.down = append(f.down, servedMsg{q, m})
@@ -120,12 +120,12 @@ func TestKillMidDrain(t *testing.T) {
 		t.Run(fmt.Sprintf("Q%d", queues), func(t *testing.T) {
 			f := newMfix(queues)
 			served := 0
-			f.mc.SetDriverHandler(func(q int, m Msg) *Msg {
+			f.mc.SetDriverHandler(func(q int, m Msg) (Msg, bool) {
 				served++
 				if m.Op == 1 {
 					f.mc.Kill() // kill -9 arrives while draining
 				}
-				return &Msg{Seq: m.Seq}
+				return Msg{Seq: m.Seq}, true
 			})
 			for q := 0; q < queues; q++ {
 				for i := 0; i < 3; i++ {
@@ -224,7 +224,7 @@ func TestUrgentServiceFlushesDowncalls(t *testing.T) {
 	for _, queues := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("Q%d", queues), func(t *testing.T) {
 			f := newMfix(queues)
-			f.mc.SetDriverHandler(func(q int, m Msg) *Msg {
+			f.mc.SetDriverHandler(func(q int, m Msg) (Msg, bool) {
 				// The ISR acks its interrupt on the control ring and
 				// completes work on the last ring.
 				if err := f.mc.DownQ(0, Msg{Op: 500}); err != nil {
@@ -233,7 +233,7 @@ func TestUrgentServiceFlushesDowncalls(t *testing.T) {
 				if err := f.mc.DownQ(queues-1, Msg{Op: 501}); err != nil {
 					t.Fatal(err)
 				}
-				return &Msg{Seq: m.Seq}
+				return Msg{Seq: m.Seq}, true
 			})
 			if err := f.mc.ASendUrgent(Msg{Op: 1}); err != nil {
 				t.Fatal(err)
@@ -256,7 +256,7 @@ func TestKernelDropsMalformedDowncallSlots(t *testing.T) {
 		t.Fatal(err)
 	}
 	// ...and forges a slot whose queue tag names a sibling ring.
-	if err := f.mc.Queue(1).Down(Msg{Op: opEncodedSlot, Data: EncodeSlot(0, Msg{Op: 7})}); err != nil {
+	if err := f.mc.Queue(1).Down(Msg{Op: opEncodedSlot, Data: AppendSlot(nil, 0, Msg{Op: 7})}); err != nil {
 		t.Fatal(err)
 	}
 	f.mc.Flush()
@@ -301,5 +301,56 @@ func TestDownQPerQueueBatching(t *testing.T) {
 	st := f.mc.Stats()
 	if st.Doorbells != 2 {
 		t.Fatalf("doorbells = %d, want one per non-empty ring", st.Doorbells)
+	}
+}
+
+// TestDownQFlushAllocatesNothing pins the multi-queue downcall path: slot
+// bytes are written into per-ring batch storage recycled at every flush,
+// so steady-state DownQ→Flush on Q=4 allocates nothing (payload-free
+// downcalls; DecodeSlot's defensive copy of inline data is the kernel's
+// own allocation).
+func TestDownQFlushAllocatesNothing(t *testing.T) {
+	f := newMfix(4)
+	n := 0
+	f.mc.SetKernelHandler(func(q int, m Msg) { n++ })
+	if a := testing.AllocsPerRun(200, func() {
+		for q := 0; q < 4; q++ {
+			for i := 0; i < 8; i++ {
+				if err := f.mc.DownQ(q, Msg{Op: uint32(i), Args: [6]uint64{uint64(q)}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		f.mc.Flush()
+	}); a != 0 {
+		t.Fatalf("DownQ+Flush allocates %v times", a)
+	}
+	if n != 201*32 || f.mc.BadSlots != 0 {
+		t.Fatalf("delivered %d (bad %d), want %d", n, f.mc.BadSlots, 201*32)
+	}
+}
+
+// TestDownQSlotDataSurvivesRecycling: inline payloads of successive
+// batches reach the kernel intact even though the ring reuses its slot
+// storage from one flush to the next.
+func TestDownQSlotDataSurvivesRecycling(t *testing.T) {
+	f := newMfix(2)
+	for round := 0; round < 4; round++ {
+		f.down = f.down[:0]
+		for i := 0; i < 3; i++ {
+			data := []byte(fmt.Sprintf("r%d-m%d", round, i))
+			if err := f.mc.DownQ(1, Msg{Op: uint32(i), Data: data}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		f.mc.Flush()
+		if len(f.down) != 3 {
+			t.Fatalf("round %d: %d downcalls", round, len(f.down))
+		}
+		for i, d := range f.down {
+			if want := fmt.Sprintf("r%d-m%d", round, i); string(d.m.Data) != want {
+				t.Fatalf("round %d: downcall %d carries %q, want %q", round, i, d.m.Data, want)
+			}
+		}
 	}
 }

@@ -23,6 +23,15 @@
 // transport half of the kill -9 story (§4.1): the kernel side sees clean
 // errors, never a hang.
 //
+// The rings cost the host nothing in steady state, just as their virtual
+// costs are fixed per message: the upcall ring is a fifo.Queue that grows to
+// its high-water mark (never past RingSlots) and is then reused; each
+// flushed downcall batch hands its storage, slot bytes included, to the next
+// batch; the service-loop timers are owned sim.Events bound once in New; and
+// driver replies travel by value. The price is one rule for the kernel side:
+// a downcall's Msg.Data is valid only inside KernelHandler. DecodeSlot's
+// copy is the kernel's own.
+//
 // The package is transport only; operation codes and marshalling belong to
 // the proxy driver classes in internal/proxy.
 package uchan
@@ -30,6 +39,7 @@ package uchan
 import (
 	"errors"
 
+	"sud/internal/fifo"
 	"sud/internal/sim"
 	"sud/internal/trace"
 )
@@ -145,10 +155,12 @@ type Chan struct {
 	drv  *sim.CPUAccount // driver process CPU
 
 	// DriverHandler services one upcall in driver-process context and
-	// returns a reply for synchronous messages. Set by SUD-UML.
-	DriverHandler func(Msg) *Msg
+	// returns a reply for synchronous messages; false means the driver
+	// produced none (a dead or wedged process). Set by SUD-UML.
+	DriverHandler func(Msg) (Msg, bool)
 	// KernelHandler services one downcall in kernel context. Set by the
-	// proxy driver.
+	// proxy driver. m.Data is valid only during the call: the batch's
+	// storage is reused once it has been delivered.
 	KernelHandler func(Msg)
 	// OnDrainEnd, if set, runs in driver-process context after each batch
 	// of upcalls is serviced, before the downcall flush. SUD-UML uses it
@@ -157,20 +169,27 @@ type Chan struct {
 	// flushed here, once per drain, instead of one MMIO write per op.
 	OnDrainEnd func()
 
-	k2u []Msg
-	u2k []Msg
+	// k2u is the upcall ring. u2k collects the downcalls queued since the
+	// last flush; spare is the storage of the last delivered batch, which
+	// the next flush hands back to u2k (see flushDown).
+	k2u   fifo.Queue[Msg]
+	u2k   downBatch
+	spare downBatch
 
-	state     int
-	pollStart sim.Time
-	pollEvent *sim.Event
-	wakeEvent *sim.Event
+	state int
+	// pollStart/pollBudget describe the current polling window; pollEv
+	// ends it, wakeEv is the in-flight wake, lazyEv the deferred doorbell.
+	// The three timers and drainFn are bound once in New.
+	pollStart  sim.Time
+	pollBudget sim.Duration
+	pollEv     sim.Event
+	wakeEv     sim.Event
+	lazyEv     sim.Event
+	drainFn    func()
 
 	// Adaptive spin state: EWMA of drain-end→next-arrival gaps.
 	drainEnd sim.Time
 	gapEWMA  sim.Duration
-
-	// lazyEvent is the pending deferred doorbell, if any.
-	lazyEvent *sim.Event
 
 	// lastDrainUrgent reports whether the most recent drain serviced an
 	// interrupt-class message; only then does the idle thread extend its
@@ -205,9 +224,21 @@ type Chan struct {
 	downRes trace.Hist
 }
 
+// downBatch is one downcall batch: the ring entries plus the slot bytes
+// their Data fields point into (multi-queue framing, see downSlot).
+type downBatch struct {
+	msgs  []Msg
+	slots []byte
+}
+
 // New creates a channel between the kernel account and a driver account.
 func New(loop *sim.Loop, kern, drv *sim.CPUAccount) *Chan {
-	return &Chan{loop: loop, kern: kern, drv: drv, state: stateSleeping}
+	c := &Chan{loop: loop, kern: kern, drv: drv, state: stateSleeping}
+	c.pollEv.Fn = c.pollTimeout
+	c.wakeEv.Fn = c.wake
+	c.lazyEv.Fn = c.lazyDoorbell
+	c.drainFn = c.drain
+	return c
 }
 
 // Stats returns transport counters.
@@ -218,16 +249,16 @@ func (c *Chan) Stats() Stats { return c.stats }
 func (c *Chan) Residency() (up, down trace.Hist) { return c.upRes, c.downRes }
 
 // Pending returns the number of queued upcalls (tests, hang detection).
-func (c *Chan) Pending() int { return len(c.k2u) }
+func (c *Chan) Pending() int { return c.k2u.Len() }
 
 // Kill marks the driver process dead: queues are dropped and all sends fail.
 func (c *Chan) Kill() {
 	c.dead = true
-	c.k2u = nil
-	c.u2k = nil
-	c.loop.Cancel(c.pollEvent)
-	c.loop.Cancel(c.wakeEvent)
-	c.loop.Cancel(c.lazyEvent)
+	c.k2u = fifo.Queue[Msg]{}
+	c.u2k, c.spare = downBatch{}, downBatch{}
+	c.loop.Cancel(&c.pollEv)
+	c.loop.Cancel(&c.wakeEv)
+	c.loop.Cancel(&c.lazyEv)
 }
 
 // Dead reports whether the channel was killed.
@@ -238,10 +269,10 @@ func (c *Chan) Dead() bool { return c.dead }
 // queued on sibling rings ride an interrupt wake instead of waiting out the
 // lazy-doorbell window (§3.1.2 batching, generalised to N rings).
 func (c *Chan) Poke() {
-	if c.dead || c.Hung || len(c.k2u) == 0 {
+	if c.dead || c.Hung || c.k2u.Len() == 0 {
 		return
 	}
-	c.loop.Cancel(c.lazyEvent)
+	c.loop.Cancel(&c.lazyEv)
 	c.scheduleService()
 }
 
@@ -262,34 +293,35 @@ func (c *Chan) asend(m Msg, urgent bool) error {
 	if c.dead {
 		return ErrDead
 	}
-	if len(c.k2u) >= RingSlots {
+	if c.k2u.Len() >= RingSlots {
 		c.stats.DroppedFull++
 		return ErrRingFull
 	}
 	c.kern.Charge(sim.CostUchanEnqueue)
 	m.enqAt = c.loop.Now()
-	c.k2u = append(c.k2u, m)
+	// A hung driver never sees the urgency: its messages wait, unmarked.
+	m.urgent = urgent && !c.Hung
+	c.k2u.Push(m)
 	c.stats.Upcalls++
 	if c.Hung {
 		return nil
-	}
-	if urgent {
-		m.urgent = true
-		c.k2u[len(c.k2u)-1].urgent = true
 	}
 	if urgent || c.state != stateSleeping {
 		c.scheduleService()
 		return nil
 	}
 	// Sleeping driver, non-urgent message: defer the doorbell.
-	if c.lazyEvent == nil || c.lazyEvent.Cancelled() {
-		c.lazyEvent = c.loop.After(LazyDoorbell, func() {
-			if !c.dead && !c.Hung && len(c.k2u) > 0 {
-				c.scheduleService()
-			}
-		})
+	if !c.lazyEv.Pending() {
+		c.loop.ArmAfter(&c.lazyEv, LazyDoorbell)
 	}
 	return nil
+}
+
+// lazyDoorbell fires the deferred doorbell for upcalls still unserviced.
+func (c *Chan) lazyDoorbell() {
+	if !c.dead && !c.Hung && c.k2u.Len() > 0 {
+		c.scheduleService()
+	}
 }
 
 // Send performs a synchronous upcall (ioctl, open): the caller needs the
@@ -321,9 +353,9 @@ func (c *Chan) Send(m Msg) (*Msg, error) {
 	if c.DriverHandler == nil {
 		return nil, ErrDead
 	}
-	reply := c.DriverHandler(m)
+	reply, ok := c.DriverHandler(m)
 	c.kern.Charge(sim.CostUchanDequeue)
-	if reply == nil {
+	if !ok {
 		return nil, ErrHung
 	}
 	if c.OnDrainEnd != nil {
@@ -332,10 +364,10 @@ func (c *Chan) Send(m Msg) (*Msg, error) {
 	c.flushDown()
 	// Async messages may have queued while the driver serviced the sync
 	// call; make sure they get drained.
-	if len(c.k2u) > 0 && !c.Hung {
+	if c.k2u.Len() > 0 && !c.Hung {
 		c.scheduleService()
 	}
-	return reply, nil
+	return &reply, nil
 }
 
 // scheduleService arranges for the driver process to drain its ring,
@@ -375,7 +407,7 @@ func (c *Chan) spinBudget() sim.Duration {
 func (c *Chan) scheduleService() {
 	switch c.state {
 	case stateSleeping:
-		if c.wakeEvent != nil && !c.wakeEvent.Cancelled() {
+		if c.wakeEv.Pending() {
 			return // wake already in flight
 		}
 		c.observeGap()
@@ -383,10 +415,7 @@ func (c *Chan) scheduleService() {
 		c.stats.Wakeups++
 		c.kern.Charge(WakeCPUKernel)
 		c.state = stateRunning
-		c.wakeEvent = c.loop.After(WakeLatency, func() {
-			c.drv.Charge(WakeCPUDriver)
-			c.drain()
-		})
+		c.loop.ArmAfter(&c.wakeEv, WakeLatency)
 	case statePolling:
 		// The idle thread catches the message during its spin: charge
 		// the spin time actually used, no wake needed.
@@ -397,12 +426,18 @@ func (c *Chan) scheduleService() {
 			spin = budget
 		}
 		c.drv.Charge(spin)
-		c.loop.Cancel(c.pollEvent)
+		c.loop.Cancel(&c.pollEv)
 		c.state = stateRunning
-		c.loop.After(0, c.drain)
+		c.loop.After(0, c.drainFn)
 	case stateRunning:
 		// Already draining; the message will be picked up.
 	}
+}
+
+// wake runs when a sleeping driver process has been switched in.
+func (c *Chan) wake() {
+	c.drv.Charge(WakeCPUDriver)
+	c.drain()
 }
 
 // drain services the upcall ring in driver-process context, then polls.
@@ -413,9 +448,8 @@ func (c *Chan) drain() {
 	c.state = stateRunning
 	sawUrgent := false
 	for {
-		for len(c.k2u) > 0 && !c.Hung {
-			m := c.k2u[0]
-			c.k2u = c.k2u[1:]
+		for c.k2u.Len() > 0 && !c.Hung {
+			m := c.k2u.Pop()
 			c.upRes.Record(c.loop.Now() - m.enqAt)
 			c.drv.Charge(sim.CostUchanDequeue)
 			if m.urgent {
@@ -432,7 +466,7 @@ func (c *Chan) drain() {
 		// Downcall handling in the kernel may have queued fresh upcalls
 		// (e.g. netif_rx → TCP ACK → transmit); service them before
 		// going idle.
-		if len(c.k2u) == 0 || c.Hung || c.dead {
+		if c.k2u.Len() == 0 || c.Hung || c.dead {
 			break
 		}
 	}
@@ -445,17 +479,20 @@ func (c *Chan) drain() {
 	}
 	c.state = statePolling
 	c.pollStart = c.loop.Now()
-	budget := MinSpin
+	c.pollBudget = MinSpin
 	if sawUrgent {
 		// Device work often triggers prompt kernel follow-ups (the RR
 		// reply); poll longer after interrupt drains.
-		budget = c.spinBudget()
+		c.pollBudget = c.spinBudget()
 	}
-	c.pollEvent = c.loop.After(budget, func() {
-		c.stats.SpinTimeouts++
-		c.drv.Charge(budget)
-		c.state = stateSleeping
-	})
+	c.loop.ArmAfter(&c.pollEv, c.pollBudget)
+}
+
+// pollTimeout ends an idle polling window: the driver goes to sleep.
+func (c *Chan) pollTimeout() {
+	c.stats.SpinTimeouts++
+	c.drv.Charge(c.pollBudget)
+	c.state = stateSleeping
 }
 
 // --- driver side ------------------------------------------------------------
@@ -465,45 +502,79 @@ func (c *Chan) drain() {
 // calls after draining upcalls — or which the SUD-UML runtime triggers
 // explicitly with Flush for driver-initiated work.
 func (c *Chan) Down(m Msg) error {
+	if err := c.downRoom(); err != nil {
+		return err
+	}
+	c.enqueueDown(m)
+	return nil
+}
+
+// downSlot queues m for the kernel in the codec.go framing, tagged with
+// queue q: the slot bytes are written into the batch's own storage, which
+// is recycled once the batch is delivered.
+func (c *Chan) downSlot(q int, m Msg) error {
+	if err := c.downRoom(); err != nil {
+		return err
+	}
+	start := len(c.u2k.slots)
+	c.u2k.slots = AppendSlot(c.u2k.slots, q, m)
+	end := len(c.u2k.slots)
+	c.enqueueDown(Msg{Op: opEncodedSlot, Data: c.u2k.slots[start:end:end]})
+	return nil
+}
+
+// downRoom reports whether a downcall can be queued.
+func (c *Chan) downRoom() error {
 	if c.dead {
 		return ErrDead
 	}
-	if len(c.u2k) >= RingSlots {
+	if len(c.u2k.msgs) >= RingSlots {
 		c.stats.DroppedFull++
 		return ErrRingFull
 	}
+	return nil
+}
+
+func (c *Chan) enqueueDown(m Msg) {
 	c.drv.Charge(sim.CostUchanEnqueue)
 	m.enqAt = c.loop.Now()
-	c.u2k = append(c.u2k, m)
+	c.u2k.msgs = append(c.u2k.msgs, m)
 	c.stats.Downcalls++
 	if c.NoBatch {
 		c.flushDown()
 	}
-	return nil
 }
 
 // Flush delivers all queued downcalls to the kernel handler, costing one
 // doorbell for the whole batch.
 func (c *Chan) Flush() { c.flushDown() }
 
+// flushDown delivers the queued batch. Its storage comes back as spare once
+// delivered, so steady-state batching allocates nothing. The kernel handler
+// may re-enter (a synchronous Send flushes the downcalls its upcall
+// produced): the nested flush delivers them at once, in the middle of this
+// batch, and the batch it swaps in is fresh, because spare is out on loan
+// until this flush returns.
 func (c *Chan) flushDown() {
-	if len(c.u2k) == 0 || c.dead {
+	if len(c.u2k.msgs) == 0 || c.dead {
 		return
 	}
 	c.stats.Doorbells++
 	c.drv.Charge(sim.CostUchanDoorbell)
 	batch := c.u2k
-	c.u2k = nil
-	if uint64(len(batch)) > c.stats.MaxDownBatch {
-		c.stats.MaxDownBatch = uint64(len(batch))
+	c.u2k, c.spare = c.spare, downBatch{}
+	if uint64(len(batch.msgs)) > c.stats.MaxDownBatch {
+		c.stats.MaxDownBatch = uint64(len(batch.msgs))
 	}
-	for _, m := range batch {
+	for _, m := range batch.msgs {
 		c.downRes.Record(c.loop.Now() - m.enqAt)
 		c.kern.Charge(sim.CostUchanDequeue)
 		if c.KernelHandler != nil {
 			c.KernelHandler(m)
 		}
 	}
+	clear(batch.msgs)
+	c.spare = downBatch{msgs: batch.msgs[:0], slots: batch.slots[:0]}
 }
 
 // SDown performs a synchronous downcall: the driver needs the kernel's

@@ -27,13 +27,13 @@ func newFixture() *fixture {
 		replies: map[uint32]Msg{},
 	}
 	f.c = New(loop, f.kern, f.drv)
-	f.c.DriverHandler = func(m Msg) *Msg {
+	f.c.DriverHandler = func(m Msg) (Msg, bool) {
 		f.served = append(f.served, m)
 		if r, ok := f.replies[m.Op]; ok {
 			r.Seq = m.Seq
-			return &r
+			return r, true
 		}
-		return &Msg{Seq: m.Seq}
+		return Msg{Seq: m.Seq}, true
 	}
 	f.c.KernelHandler = func(m Msg) { f.down = append(f.down, m) }
 	return f
@@ -242,13 +242,13 @@ func TestRingFullBackpressure(t *testing.T) {
 func TestDowncallBatchingOneDoorbell(t *testing.T) {
 	f := newFixture()
 	// Driver queues 3 downcalls during one upcall service.
-	f.c.DriverHandler = func(m Msg) *Msg {
+	f.c.DriverHandler = func(m Msg) (Msg, bool) {
 		for i := 0; i < 3; i++ {
 			if err := f.c.Down(Msg{Op: 100 + uint32(i)}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		return &Msg{Seq: m.Seq}
+		return Msg{Seq: m.Seq}, true
 	}
 	if err := f.c.ASend(Msg{Op: 1}); err != nil {
 		t.Fatal(err)
@@ -341,5 +341,82 @@ func TestWakeupCPUAmortizedPerBatch(t *testing.T) {
 	perMsg := (f.kern.Busy() + f.drv.Busy()) / 100
 	if perMsg > 1000 {
 		t.Fatalf("per-message cost %v ns; batching broken", perMsg)
+	}
+}
+
+// TestRoundTripAllocatesNothing pins the single-ring message path: once the
+// rings and the loop have warmed up, an upcall that wakes the driver (via
+// the deferred doorbell), is drained, answers with a downcall, flushes it
+// to the kernel and lets the polling window time out allocates nothing.
+func TestRoundTripAllocatesNothing(t *testing.T) {
+	f := newFixture()
+	delivered := 0
+	f.c.DriverHandler = func(m Msg) (Msg, bool) {
+		if err := f.c.Down(Msg{Op: 100, Args: m.Args}); err != nil {
+			t.Fatal(err)
+		}
+		return Msg{Seq: m.Seq}, true
+	}
+	f.c.KernelHandler = func(Msg) { delivered++ }
+	if a := testing.AllocsPerRun(200, func() {
+		if err := f.c.ASend(Msg{Op: 1}); err != nil {
+			t.Fatal(err)
+		}
+		f.loop.Run()
+	}); a != 0 {
+		t.Fatalf("round trip allocates %v times", a)
+	}
+	st := f.c.Stats()
+	if delivered != 201 || st.SpinTimeouts != 201 || st.Wakeups != 201 {
+		t.Fatalf("delivered %d, stats %+v: not a full round trip per run", delivered, st)
+	}
+}
+
+// TestReentrantFlushDeliversInOrder: a kernel handler that makes a
+// synchronous upcall re-enters the flush (Send flushes the downcalls its
+// upcall produced). Those are delivered at once, inside the outer batch —
+// the outer batch's remaining downcalls follow them, and none is lost or
+// delivered twice.
+func TestReentrantFlushDeliversInOrder(t *testing.T) {
+	f := newFixture()
+	f.c.DriverHandler = func(m Msg) (Msg, bool) {
+		if m.Op == 7 { // the kernel's synchronous query
+			for i := uint32(0); i < 2; i++ {
+				if err := f.c.Down(Msg{Op: 20 + i}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return Msg{Seq: m.Seq}, true
+	}
+	var got []uint32
+	f.c.KernelHandler = func(m Msg) {
+		got = append(got, m.Op)
+		if m.Op == 10 {
+			if _, err := f.c.Send(Msg{Op: 7}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for round := 0; round < 3; round++ {
+		got = got[:0]
+		for _, op := range []uint32{10, 11, 12} {
+			if err := f.c.Down(Msg{Op: op}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		f.c.Flush()
+		want := []uint32{10, 20, 21, 11, 12}
+		if len(got) != len(want) {
+			t.Fatalf("round %d: delivered %v, want %v", round, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("round %d: delivered %v, want %v", round, got, want)
+			}
+		}
+	}
+	if st := f.c.Stats(); st.Doorbells != 6 {
+		t.Fatalf("doorbells = %d, want 2 per round", st.Doorbells)
 	}
 }
