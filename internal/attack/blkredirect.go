@@ -249,7 +249,7 @@ func BlkRedirect(cfg Config) (Outcome, error) {
 	var gotErr error
 	completed := false
 	if err := dev.ReadAtQ(blkMediaLBA, 0, func(b []byte, err error) {
-		got, gotErr, completed = b, err, true
+		got, gotErr, completed = append([]byte(nil), b...), err, true
 	}); err != nil {
 		return Outcome{}, err
 	}
@@ -287,7 +287,7 @@ func BlkRedirect(cfg Config) (Outcome, error) {
 	gotFlipErr := error(nil)
 	flipCompleted := false
 	if err := dev.ReadAtQ(blkMediaLBA, 0, func(b []byte, err error) {
-		gotFlip, gotFlipErr, flipCompleted = b, err, true
+		gotFlip, gotFlipErr, flipCompleted = append([]byte(nil), b...), err, true
 	}); err != nil {
 		return Outcome{}, err
 	}

@@ -118,6 +118,11 @@ func TestPRP2FaultLeavesMediaAndCacheIntact(t *testing.T) {
 // directly.
 func TestCachedWriteAllocatesNothingOnceFull(t *testing.T) {
 	r, _, buf := cacheRig(t, 4)
+	// The writes cycle over 64 LBAs. Seed them so that no eviction is a
+	// block's first write, which backs the block.
+	for lba := uint64(0); lba < 64; lba++ {
+		r.c.SeedMedia(lba, fillPage(byte(lba)))
+	}
 	buf2, ok := r.m.Alloc.AllocPages(1)
 	if !ok {
 		t.Fatal("oom")

@@ -21,6 +21,10 @@
 // IOMMU domain (§3.2, Figure 9), and a controller reset (CC enable 1→0)
 // clears every queue — which is what makes driver bring-up idempotent and
 // shadow-driver restart (§2, §5.2) possible after a kill -9.
+//
+// Media is stored per logical block, and a block gets host memory on its
+// first write. A never-written LBA reads as zeros, as a deallocated LBA does
+// on real NVMe, so a device costs the host only the blocks a run writes.
 package nvme
 
 import (
@@ -260,7 +264,10 @@ type Ctrl struct {
 	ready bool
 	tr    *trace.Tracer
 
-	media  []byte
+	// media holds, by LBA, every block ever written: by a direct write, a
+	// cache drain or SeedMedia. A nil entry has never been written and reads
+	// as zeroBlock.
+	media  []*[BlockSize]byte
 	blocks uint64
 
 	// Volatile write cache: dirty blocks not yet on media, plus their
@@ -329,7 +336,7 @@ func New(loop *sim.Loop, bdf pci.BDF, barBase uint64, p Params) *Ctrl {
 		params: p,
 		regs:   make(map[uint64]uint32),
 		blocks: p.Blocks,
-		media:  make([]byte, int(p.Blocks)*BlockSize),
+		media:  make([]*[BlockSize]byte, p.Blocks),
 		cache:  make(map[uint64][]byte),
 	}
 	cfg := pci.NewConfigSpace(VendorID, DeviceID, 0x01) // class = mass storage
@@ -366,7 +373,7 @@ func (c *Ctrl) SeedMedia(lba uint64, data []byte) {
 	if lba >= c.blocks {
 		return
 	}
-	copy(c.media[int(lba)*BlockSize:(int(lba)+1)*BlockSize], data)
+	copy(c.writeBlock(lba), data)
 }
 
 // PeekMedia returns a copy of block lba (tests).
@@ -374,9 +381,29 @@ func (c *Ctrl) PeekMedia(lba uint64) []byte {
 	if lba >= c.blocks {
 		return nil
 	}
-	out := make([]byte, BlockSize)
-	copy(out, c.media[int(lba)*BlockSize:])
-	return out
+	return append([]byte(nil), c.readBlock(lba)...)
+}
+
+// zeroBlock is what a never-written block reads as. Nothing writes it.
+var zeroBlock [BlockSize]byte
+
+// readBlock returns block lba's media contents, to be read only.
+func (c *Ctrl) readBlock(lba uint64) []byte {
+	if b := c.media[lba]; b != nil {
+		return b[:]
+	}
+	return zeroBlock[:]
+}
+
+// writeBlock returns block lba's media storage, creating it, zero-filled,
+// on the block's first write.
+func (c *Ctrl) writeBlock(lba uint64) []byte {
+	b := c.media[lba]
+	if b == nil {
+		b = new([BlockSize]byte)
+		c.media[lba] = b
+	}
+	return b[:]
 }
 
 func (c *Ctrl) reset() {
@@ -438,7 +465,7 @@ func (c *Ctrl) drainOne() int {
 		return 0
 	}
 	delete(c.cache, lba)
-	copy(c.media[int(lba)*BlockSize:], data)
+	copy(c.writeBlock(lba), data)
 	c.freeCacheBuf(data)
 	return len(data)
 }
@@ -972,7 +999,6 @@ func (c *Ctrl) execRW(qid int, sqe []byte, write bool, engine *sim.Duration) uin
 	}
 	rest := BlockSize - first
 
-	mediaOff := int(lba) * BlockSize
 	if write {
 		fua := sqe[sqeFlags]&SqeFlagFUA != 0
 		cached := c.cacheOn() && !fua
@@ -982,9 +1008,11 @@ func (c *Ctrl) execRW(qid int, sqe []byte, write bool, engine *sim.Duration) uin
 		// lies inside one page, so a faulting chunk leaves its part of dst
 		// untouched: a direct write that faults on PRP2 has written the
 		// PRP1 part of the block, as a torn DMA does.
-		dst := c.media[mediaOff : mediaOff+BlockSize]
+		var dst []byte
 		if cached {
 			dst = c.cacheBuf()
+		} else {
+			dst = c.writeBlock(lba)
 		}
 		err := c.DMAReadIntoQ(qid, prp1, dst[:first])
 		*engine += sim.DMA(first)
@@ -1015,7 +1043,7 @@ func (c *Ctrl) execRW(qid int, sqe []byte, write bool, engine *sim.Duration) uin
 		c.WriteBlocks++
 		return StatusOK
 	}
-	src := c.media[mediaOff : mediaOff+BlockSize]
+	src := c.readBlock(lba)
 	if dirty, ok := c.cache[lba]; ok {
 		// The cache holds the newest copy; serving it costs no media time.
 		src = dirty

@@ -175,7 +175,7 @@ func CrashConsistency(queues, cacheBlocks int, seed uint64, plat hw.Platform) (C
 		s := s
 		var got []byte
 		var gotErr error
-		if err := dev2.ReadAt(s, func(b []byte, err error) { got, gotErr = b, err }); err != nil {
+		if err := dev2.ReadAt(s, func(b []byte, err error) { got, gotErr = append([]byte(nil), b...), err }); err != nil {
 			return res, err
 		}
 		tb.M.Loop.RunFor(5 * sim.Millisecond)

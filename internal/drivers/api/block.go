@@ -77,6 +77,11 @@ type BlockKernel interface {
 	// reference crosses the channel; the proxy validates it against the
 	// driver's own DMA allocations and guard-copies it before the kernel
 	// sees the bytes (§3.1.2 applied to storage).
+	//
+	// data is lent for the duration of the call: the caller may reuse it
+	// once Complete returns (a trusted driver its DMA slot, the proxy its
+	// guard-copy buffer), and the block core hands it to the request's
+	// callback under the same rule.
 	Complete(q int, tag uint64, err error, data []byte)
 	// WakeQueueQ re-enables submission on one stopped queue.
 	WakeQueueQ(q int)

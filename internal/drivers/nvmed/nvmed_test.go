@@ -141,7 +141,7 @@ func TestStopFreesAndRestarts(t *testing.T) {
 		if err != nil {
 			t.Errorf("read after restart: %v", err)
 		}
-		got = data
+		got = append([]byte(nil), data...)
 	}); err != nil {
 		t.Fatal(err)
 	}

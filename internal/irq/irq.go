@@ -180,18 +180,36 @@ func (c *Controller) TotalDelivered() uint64 {
 
 // VectorAllocator hands out device vectors. The kernel owns one.
 type VectorAllocator struct {
-	next Vector
+	next Vector   // lowest never-allocated vector; 0 once all are handed out
+	free []Vector // freed vectors, reused last-freed first
 }
 
 // NewVectorAllocator starts allocation at FirstUsable.
 func NewVectorAllocator() *VectorAllocator { return &VectorAllocator{next: FirstUsable} }
 
-// Alloc returns the next free vector.
+// Alloc returns a free vector: the one freed last, or else the next one
+// never handed out.
 func (a *VectorAllocator) Alloc() (Vector, error) {
+	if n := len(a.free); n > 0 {
+		v := a.free[n-1]
+		a.free = a.free[:n-1]
+		return v, nil
+	}
 	if a.next == 0 { // wrapped
 		return 0, fmt.Errorf("irq: out of interrupt vectors")
 	}
 	v := a.next
 	a.next++
 	return v, nil
+}
+
+// Free returns v, handed out by Alloc and since unregistered, for reuse.
+func (a *VectorAllocator) Free(v Vector) { a.free = append(a.free, v) }
+
+// HighWater returns how many distinct vectors have ever been handed out.
+func (a *VectorAllocator) HighWater() int {
+	if a.next == 0 {
+		return 256 - int(FirstUsable)
+	}
+	return int(a.next - FirstUsable)
 }

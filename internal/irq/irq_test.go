@@ -192,3 +192,39 @@ func TestVectorAllocator(t *testing.T) {
 	}
 	t.Fatal("allocator never exhausted")
 }
+
+func TestVectorAllocatorFreeReuses(t *testing.T) {
+	a := NewVectorAllocator()
+	// Alloc-free cycles far past the 224 usable vectors: a freed vector is
+	// handed out again, so the high-water mark stays at one.
+	for i := 0; i < 1000; i++ {
+		v, err := a.Alloc()
+		must(t, err)
+		if v != FirstUsable {
+			t.Fatalf("cycle %d: allocated %#x, want %#x", i, v, FirstUsable)
+		}
+		a.Free(v)
+	}
+	if a.HighWater() != 1 {
+		t.Fatalf("high water %d, want 1", a.HighWater())
+	}
+	// Exhaust the rest; a freed vector still comes back.
+	var last Vector
+	for {
+		v, err := a.Alloc()
+		if err != nil {
+			break
+		}
+		last = v
+	}
+	if a.HighWater() != 256-int(FirstUsable) || last != 0xFF {
+		t.Fatalf("high water %d, last %#x after exhaustion", a.HighWater(), last)
+	}
+	a.Free(0x42)
+	if v, err := a.Alloc(); err != nil || v != 0x42 {
+		t.Fatalf("after free: %#x, %v", v, err)
+	}
+	if _, err := a.Alloc(); err == nil {
+		t.Fatal("one freed vector handed out twice")
+	}
+}

@@ -564,12 +564,16 @@ func QueueForLBA(lba uint64, nq int) int {
 }
 
 // ReadAt reads the block at lba, steering by LBA hash; cb receives the
-// payload (or an error) when the driver completes.
+// payload (or an error) when the driver completes. The payload is valid
+// only until cb returns: the proxy's guard-copy buffer, a trusted driver's
+// DMA slot or a flipped page is reused after that, so a caller that keeps
+// the bytes copies them.
 func (d *Dev) ReadAt(lba uint64, cb func([]byte, error)) error {
 	return d.ReadAtQ(lba, QueueForLBA(lba, len(d.queues)), cb)
 }
 
-// ReadAtQ reads the block at lba on an explicit queue.
+// ReadAtQ reads the block at lba on an explicit queue. As with ReadAt, the
+// payload cb receives is valid only until cb returns.
 func (d *Dev) ReadAtQ(lba uint64, q int, cb func([]byte, error)) error {
 	return d.submit(q, api.BlockRequest{LBA: lba}, done{read: cb})
 }

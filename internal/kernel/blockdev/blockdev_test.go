@@ -68,7 +68,7 @@ func TestCompleteMatchesTag(t *testing.T) {
 
 	var got []byte
 	var gotErr error
-	if err := d.ReadAtQ(5, 0, func(b []byte, err error) { got, gotErr = b, err }); err != nil {
+	if err := d.ReadAtQ(5, 0, func(b []byte, err error) { got, gotErr = append([]byte(nil), b...), err }); err != nil {
 		t.Fatal(err)
 	}
 	req := f.pending[0][0]

@@ -370,6 +370,7 @@ func (e *kernelEnv) FreeIRQ() error {
 	if rt := e.k.M.IRQ.Remap; rt != nil {
 		rt.Set(e.remapIx, irq.IRTE{})
 	}
+	e.k.M.Vec.Free(e.vector)
 	e.irqSet = false
 	return nil
 }

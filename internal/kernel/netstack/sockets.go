@@ -6,7 +6,11 @@ import "fmt"
 // simulated application context (its CPU cost is charged by the harness that
 // installs it).
 type UDPSock struct {
-	Port   uint16
+	Port uint16
+	// OnRecv receives each datagram. payload is valid only until OnRecv
+	// returns: it points into the received frame, which is the proxy's
+	// recycled guard-copy buffer, a flipped page or a trusted driver's
+	// buffer. A handler that keeps the bytes copies them.
 	OnRecv func(payload []byte, srcIP IP, srcPort uint16)
 
 	RxDatagrams uint64

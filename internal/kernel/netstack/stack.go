@@ -47,6 +47,7 @@ type Stack struct {
 
 	// Firewall, if set, inspects every received frame; returning false
 	// drops it. It runs before payload delivery, like a netfilter hook.
+	// Like a socket payload, frame is valid only during the call.
 	Firewall func(frame []byte) bool
 
 	// Counters.

@@ -4,7 +4,10 @@
 // a wrong address corrupts exactly the bytes a real DMA would.
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // PageSize is the physical page size, 4 KiB, matching x86 and the IOMMU page
 // granularity SUD depends on (§3.2.1: MMIO ranges must be page-aligned).
@@ -94,18 +97,20 @@ func (m *Memory) page(addr Addr) (*[PageSize]byte, bool) {
 	return pg, ok
 }
 
-// AllocPage populates the page containing addr (idempotent) and returns its
-// base address.
+// AllocPage makes the page containing addr accessible (idempotent) and
+// returns its base address. Inside a RAM range it only clears a freed page's
+// hole: the page is backed, zero-filled, on first access, like the rest of
+// DRAM. Outside RAM ranges it is backed now.
 func (m *Memory) AllocPage(addr Addr) Addr {
 	base := PageAlign(addr)
 	delete(m.holes, base)
-	if _, ok := m.pages[base]; !ok {
+	if _, ok := m.pages[base]; !ok && !m.inRAM(base) {
 		m.pages[base] = new([PageSize]byte)
 	}
 	return base
 }
 
-// AllocRange populates every page overlapping [addr, addr+size).
+// AllocRange allocates every page overlapping [addr, addr+size).
 func (m *Memory) AllocRange(addr Addr, size uint64) {
 	if size == 0 {
 		return
@@ -134,7 +139,8 @@ func (m *Memory) Populated(addr Addr) bool {
 	return !m.holes[base] && m.inRAM(base)
 }
 
-// PageCount returns the number of populated pages.
+// PageCount returns the number of pages backed by host memory. An allocated
+// RAM page counts from its first access.
 func (m *Memory) PageCount() int { return len(m.pages) }
 
 // Read copies len(p) bytes starting at addr into p. It fails with
@@ -248,15 +254,15 @@ func (m *Memory) Stats() (reads, writes, bytesIn, bytesOut uint64) {
 	return m.reads, m.writes, m.bytesIn, m.bytesOut
 }
 
-// Allocator hands out physical pages from a region, page-at-a-time, with a
-// free list. The kernel uses one for its own memory and for DMA buffers it
-// grants to driver processes.
+// Allocator hands out physical pages from a region, with a free list. The
+// kernel uses one for its own memory and for DMA buffers it grants to driver
+// processes.
 type Allocator struct {
 	mem   *Memory
 	start Addr
 	next  Addr
 	end   Addr
-	free  []Addr
+	free  []Addr // freed pages, ascending
 }
 
 // NewAllocator manages [start, start+size) of mem. start must be
@@ -268,40 +274,64 @@ func NewAllocator(mem *Memory, start Addr, size uint64) *Allocator {
 	return &Allocator{mem: mem, start: start, next: start, end: start + Addr(size)}
 }
 
-// AllocPages allocates n contiguous pages, populating them, and returns the
-// base address. Contiguity matters: DMA ring buffers are physically
-// contiguous on real hardware. Returns 0 and false when exhausted.
+// AllocPages allocates n contiguous pages and returns the base address.
+// Contiguity matters: DMA ring buffers are physically contiguous on real
+// hardware. The lowest run of n contiguous freed pages is reused before the
+// region grows, so a driver that dies and restarts takes back the address
+// space its dead incarnation held. Every page reads zero until written.
+// Returns 0 and false when exhausted.
 func (a *Allocator) AllocPages(n int) (Addr, bool) {
 	if n <= 0 {
 		return 0, false
 	}
-	if n == 1 && len(a.free) > 0 {
-		p := a.free[len(a.free)-1]
-		a.free = a.free[:len(a.free)-1]
-		a.mem.AllocPage(p)
-		return p, true
+	base, ok := a.takeFree(n)
+	if !ok {
+		need := Addr(n * PageSize)
+		if a.next+need > a.end {
+			return 0, false
+		}
+		base = a.next
+		a.next += need
 	}
-	need := Addr(n * PageSize)
-	if a.next+need > a.end {
-		return 0, false
-	}
-	base := a.next
-	a.next += need
-	a.mem.AllocRange(base, uint64(need))
+	a.mem.AllocRange(base, uint64(n*PageSize))
 	return base, true
+}
+
+// takeFree removes the lowest run of n contiguous pages from the free list.
+func (a *Allocator) takeFree(n int) (Addr, bool) {
+	start := 0
+	for i := range a.free {
+		if i > start && a.free[i] != a.free[i-1]+PageSize {
+			start = i
+		}
+		if i-start+1 == n {
+			base := a.free[start]
+			a.free = slices.Delete(a.free, start, i+1)
+			return base, true
+		}
+	}
+	return 0, false
 }
 
 // FreePages returns n pages starting at base to the allocator and
 // depopulates them so stale access faults.
 func (a *Allocator) FreePages(base Addr, n int) {
+	at, _ := slices.BinarySearch(a.free, base)
+	old := len(a.free)
+	a.free = slices.Grow(a.free, n)[:old+n]
+	copy(a.free[at+n:], a.free[at:old])
 	for i := 0; i < n; i++ {
 		p := base + Addr(i*PageSize)
 		a.mem.FreePage(p)
-		a.free = append(a.free, p)
+		a.free[at+i] = p
 	}
 }
 
 // InUse returns the number of bytes handed out and not freed.
 func (a *Allocator) InUse() uint64 {
-	return uint64(a.next-a.start) - uint64(len(a.free))*PageSize
+	return a.HighWater() - uint64(len(a.free))*PageSize
 }
+
+// HighWater returns how many bytes of the region have ever been handed out:
+// it grows only when no freed run fits a request.
+func (a *Allocator) HighWater() uint64 { return uint64(a.next - a.start) }

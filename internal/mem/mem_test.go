@@ -176,6 +176,108 @@ func TestAllocatorFreeList(t *testing.T) {
 	}
 }
 
+// ramAllocator is an allocator over a declared RAM range, the way the
+// machine builds its own.
+func ramAllocator(pages int) (*Memory, *Allocator) {
+	m := New()
+	m.AddRAMRange(0x100000, uint64(pages)*PageSize)
+	return m, NewAllocator(m, 0x100000, uint64(pages)*PageSize)
+}
+
+func TestAllocatedRAMBackedOnFirstTouch(t *testing.T) {
+	m, a := ramAllocator(512)
+	if _, ok := a.AllocPages(256); !ok {
+		t.Fatal("alloc failed")
+	}
+	if m.PageCount() != 0 {
+		t.Fatalf("AllocPages(256) backed %d pages", m.PageCount())
+	}
+	// Each of the three accessors backs one untouched page on first use.
+	touch := []func(p Addr){
+		func(p Addr) { m.MustRead(p, make([]byte, 8)) },
+		func(p Addr) { m.MustWrite(p, []byte{1}) },
+		func(p Addr) { m.Slice(p, 8) },
+	}
+	for i, f := range touch {
+		p, _ := a.AllocPages(1)
+		if !m.Populated(p) {
+			t.Fatalf("accessor %d: allocated page not populated", i)
+		}
+		before := m.PageCount()
+		f(p)
+		if m.PageCount() != before+1 {
+			t.Fatalf("accessor %d: first access backed %d pages", i, m.PageCount()-before)
+		}
+	}
+	p, _ := a.AllocPages(1)
+	got := make([]byte, PageSize)
+	m.MustRead(p, got)
+	if !bytes.Equal(got, make([]byte, PageSize)) {
+		t.Fatal("untouched allocated page does not read zero")
+	}
+}
+
+func TestFreedRAMPageFaultsThenReadsZero(t *testing.T) {
+	m, a := ramAllocator(4)
+	p, _ := a.AllocPages(1)
+	m.MustWrite(p, []byte{0xAB, 0xCD})
+	a.FreePages(p, 1)
+	if err := m.Read(p, make([]byte, 1)); err == nil {
+		t.Fatal("read of a freed page did not fault")
+	}
+	if m.Populated(p) {
+		t.Fatal("freed page still populated")
+	}
+	p2, _ := a.AllocPages(1)
+	if p2 != p {
+		t.Fatalf("freed page not reused: %#x, want %#x", uint64(p2), uint64(p))
+	}
+	got := make([]byte, 2)
+	m.MustRead(p2, got)
+	if got[0] != 0 || got[1] != 0 {
+		t.Fatalf("re-allocated page reads % x, want zeros", got)
+	}
+}
+
+func TestAllocatorReusesFreedRuns(t *testing.T) {
+	m, a := ramAllocator(1024)
+	// One holder's allocations, as a driver incarnation makes them: single
+	// pages between multi-page pools.
+	sizes := []int{1, 1, 64, 64, 1, 1, 64, 1, 1, 64}
+	hold := func() []Addr {
+		var out []Addr
+		for _, n := range sizes {
+			p, ok := a.AllocPages(n)
+			if !ok {
+				t.Fatal("out of memory")
+			}
+			m.MustWrite(p, []byte{0xFF})
+			out = append(out, p)
+		}
+		return out
+	}
+	release := func(ps []Addr) {
+		for i, p := range ps {
+			a.FreePages(p, sizes[i])
+		}
+	}
+	release(hold())
+	high := a.HighWater()
+	for i := 0; i < 50; i++ {
+		release(hold())
+		if a.HighWater() != high || a.InUse() != 0 {
+			t.Fatalf("cycle %d: high water %d (was %d), in use %d", i, a.HighWater(), high, a.InUse())
+		}
+	}
+	// A run must be contiguous: with one page freed inside a held run, a
+	// two-page request skips it for the next free run.
+	p1, _ := a.AllocPages(3)
+	a.FreePages(p1+PageSize, 1)
+	if p2, _ := a.AllocPages(2); p2 != p1+3*PageSize {
+		t.Fatalf("two pages at %#x, want %#x", uint64(p2), uint64(p1+3*PageSize))
+	}
+}
+
 func TestAllocatorBadArgs(t *testing.T) {
 	m := New()
 	a := NewAllocator(m, 0x100000, 4*PageSize)

@@ -30,6 +30,7 @@ import (
 	"sud/internal/drivers/api"
 	"sud/internal/kernel/blockdev"
 	"sud/internal/mem"
+	"sud/internal/proxy/guard"
 	"sud/internal/proxy/pciaccess"
 	"sud/internal/proxy/protocol"
 	"sud/internal/sim"
@@ -122,6 +123,10 @@ type Proxy struct {
 
 	// GuardMode selects the read-payload TOCTOU-guard strategy.
 	GuardMode int
+
+	// guardBufs recycles the kernel buffers read payloads are guard-copied
+	// into; each returns when its Dev.Complete does.
+	guardBufs *guard.Buffers
 
 	// pendingRecycle holds flipped pages (by IOVA) per queue awaiting the
 	// lazy recycle flush back to the driver.
@@ -217,6 +222,7 @@ func New(ki *KernelIface, df *pciaccess.DeviceFile, c *uchan.MultiChan, name str
 		QueueComps:     make([]uint64, q),
 		QueueBatches:   make([]uint64, q),
 		pendingRecycle: make([][]uint64, q),
+		guardBufs:      guard.NewBuffers(geom.BlockSize),
 	}
 	for i := 0; i < q; i++ {
 		// Queue i's slots belong to device I/O queue i+1: tagging the
@@ -266,6 +272,7 @@ func NewStandby(ki *KernelIface, df *pciaccess.DeviceFile, c *uchan.MultiChan, n
 		QueueComps:     make([]uint64, q),
 		QueueBatches:   make([]uint64, q),
 		pendingRecycle: make([][]uint64, q),
+		guardBufs:      guard.NewBuffers(geom.BlockSize),
 	}
 	for i := 0; i < q; i++ {
 		pool, err := df.AllocDMAQ(SlotsPerQueue*geom.BlockSize,
@@ -646,12 +653,14 @@ func (p *Proxy) handleFlushDone(q int, m uchan.Msg) {
 // one block; under GuardCopy the kernel's private copy is taken before any
 // consumer sees the bytes, so later modification of the shared buffer by a
 // malicious driver is harmless — and a foreign reference fails the request
-// instead of leaking whatever it pointed at. Under GuardPageFlip a
-// page-aligned whole-page payload is instead revoked from the driver's
-// domain and delivered by reference: the driver can no longer reach the
-// bytes, so the TOCTOU property holds with zero copied bytes. Reports
-// whether a page was flipped so the caller can amortise one IOTLB shootdown
-// over the batch.
+// instead of leaking whatever it pointed at. The copy lands in a recycled
+// kernel buffer that the proxy takes back once Dev.Complete returns, so a
+// consumer that keeps the payload past its callback copies it. Under
+// GuardPageFlip a page-aligned whole-page payload is instead revoked from
+// the driver's domain and delivered by reference: the driver can no longer
+// reach the bytes, so the TOCTOU property holds with zero copied bytes.
+// Reports whether a page was flipped so the caller can amortise one IOTLB
+// shootdown over the batch.
 func (p *Proxy) complete(q int, c CompRef) bool {
 	// Tag validation comes first: a completion for a tag never issued is
 	// dropped before the kernel spends a block-sized guard copy on it —
@@ -719,7 +728,8 @@ func (p *Proxy) complete(q int, c CompRef) bool {
 	// Guard copy (§3.1.2): block payloads carry no checksum to fuse with,
 	// so the TOCTOU guard is a plain copy into kernel-owned memory.
 	p.K.Blk.Trace.Event(trace.ClassBlk, q, c.Tag, trace.HopGuard)
-	buf := make([]byte, n)
+	buf := p.guardBufs.Get(n)
+	defer p.guardBufs.Put(buf)
 	p.K.Acct.Charge(sim.Copy(n))
 	p.GuardCopiedBytes += uint64(n)
 	if err := p.K.Mem.Read(phys, buf); err != nil {

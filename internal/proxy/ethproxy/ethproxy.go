@@ -22,6 +22,7 @@ import (
 
 	"sud/internal/kernel/netstack"
 	"sud/internal/mem"
+	"sud/internal/proxy/guard"
 	"sud/internal/proxy/pciaccess"
 	"sud/internal/proxy/protocol"
 	"sud/internal/sim"
@@ -126,6 +127,10 @@ type Proxy struct {
 	// GuardMode selects the §3.1.2 TOCTOU-guard strategy (ablations).
 	GuardMode int
 
+	// guardBufs recycles the kernel buffers received frames are
+	// guard-copied into; each returns when its NetifRxVerified does.
+	guardBufs *guard.Buffers
+
 	// Per-queue RX partitions: frames and batches delivered per ring.
 	RxQueueFrames  []uint64
 	RxQueueBatches []uint64
@@ -199,6 +204,7 @@ func New(ki *KernelIface, df *pciaccess.DeviceFile, c *uchan.MultiChan, name str
 		RxQueueBatches: make([]uint64, q),
 		pendingRecycle: make([][]uint64, q),
 		lent:           make([]map[uint64]bool, q),
+		guardBufs:      guard.NewBuffers(maxFrame),
 	}
 	for i := range p.lent {
 		p.lent[i] = make(map[uint64]bool)
@@ -242,6 +248,7 @@ func NewStandby(ki *KernelIface, df *pciaccess.DeviceFile, c *uchan.MultiChan, n
 		RxQueueBatches: make([]uint64, q),
 		pendingRecycle: make([][]uint64, q),
 		lent:           make([]map[uint64]bool, q),
+		guardBufs:      guard.NewBuffers(maxFrame),
 	}
 	for i := range p.lent {
 		p.lent[i] = make(map[uint64]bool)
@@ -625,12 +632,17 @@ func (p *Proxy) maybeWakeQueue(q int) {
 	p.Ifc.WakeQueue(q)
 }
 
+// maxFrame is the longest frame the proxy accepts from the driver.
+const maxFrame = netstack.EthHeaderLen + 1500 + 4
+
 // netifRx validates the driver's shared-buffer reference and performs the
 // fused guard-copy + checksum (§3.1.2): the kernel's private copy is taken
 // before the firewall or any other consumer sees the bytes, so later
-// modification of the shared buffer by a malicious driver is harmless.
+// modification of the shared buffer by a malicious driver is harmless. The
+// copy lands in a recycled kernel buffer that the proxy takes back once
+// NetifRxVerified returns.
 func (p *Proxy) netifRx(q int, iova mem.Addr, n int) {
-	if n <= 0 || n > netstack.EthHeaderLen+1500+4 {
+	if n <= 0 || n > maxFrame {
 		p.RxBadLength++
 		return
 	}
@@ -662,7 +674,8 @@ func (p *Proxy) netifRx(q int, iova mem.Addr, n int) {
 		return
 	}
 	p.K.Net.Trace.Event(trace.ClassNetRx, q, uint64(iova), trace.HopGuard)
-	frame := make([]byte, n)
+	frame := p.guardBufs.Get(n)
+	defer p.guardBufs.Put(frame)
 	switch p.GuardMode {
 	case GuardSeparate:
 		// Naive: copy pass, then an independent checksum pass.

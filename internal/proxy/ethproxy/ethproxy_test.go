@@ -306,6 +306,61 @@ func TestNetifRxValidation(t *testing.T) {
 	}
 }
 
+// TestGuardCopyRxAllocatesNothing pins the fused RX guard copy: a received
+// frame is copied into a recycled kernel buffer.
+func TestGuardCopyRxAllocatesNothing(t *testing.T) {
+	r := newRig(t)
+	var delivered int
+	if _, err := r.k.Net.UDPBind(80, func([]byte, netstack.IP, uint16) { delivered++ }); err != nil {
+		t.Fatal(err)
+	}
+	frame := netstack.BuildUDPFrame(netstack.MAC{9}, netstack.MAC(mac),
+		netstack.IP{1}, netstack.IP{2}, 1, 80, []byte("ok"))
+	alloc := r.df.Allocs()[0]
+	r.m.Mem.MustWrite(alloc.Phys, frame)
+	msg := uchan.Msg{Op: OpNetifRx, Args: [6]uint64{uint64(alloc.IOVA), uint64(len(frame))}}
+	allocs := testing.AllocsPerRun(100, func() { r.p.HandleDowncall(0, msg) })
+	if allocs != 0 {
+		t.Fatalf("an RX guard copy allocates %.0f times, want 0", allocs)
+	}
+	if delivered != 101 || r.p.GuardCopiedBytes != 101*uint64(len(frame)) {
+		t.Fatalf("delivered %d, guard-copied %d bytes", delivered, r.p.GuardCopiedBytes)
+	}
+}
+
+// TestNestedRxKeepsOuterPayload delivers a second frame from inside the
+// first one's socket callback: the payload the first callback holds must
+// not change.
+func TestNestedRxKeepsOuterPayload(t *testing.T) {
+	r := newRig(t)
+	alloc := r.df.Allocs()[0]
+	stage := func(off int, body string) uchan.Msg {
+		frame := netstack.BuildUDPFrame(netstack.MAC{9}, netstack.MAC(mac),
+			netstack.IP{1}, netstack.IP{2}, 1, 80, []byte(body))
+		r.m.Mem.MustWrite(alloc.Phys+mem.Addr(off), frame)
+		return uchan.Msg{Op: OpNetifRx, Args: [6]uint64{uint64(alloc.IOVA) + uint64(off), uint64(len(frame))}}
+	}
+	outer, inner := stage(0, "outer"), stage(TxSlotSize, "INNER")
+	var got []string
+	depth := 0
+	if _, err := r.k.Net.UDPBind(80, func(p []byte, _ netstack.IP, _ uint16) {
+		depth++
+		if depth == 1 {
+			r.p.HandleDowncall(0, inner)
+		}
+		got = append(got, string(p))
+		depth--
+	}); err != nil {
+		t.Fatal(err)
+	}
+	r.p.HandleDowncall(0, outer) // warm a recycled buffer
+	got = nil
+	r.p.HandleDowncall(0, outer)
+	if len(got) != 2 || got[0] != "INNER" || got[1] != "outer" {
+		t.Fatalf("payloads %q, want the inner then the unchanged outer", got)
+	}
+}
+
 func TestCarrierMirrorDowncalls(t *testing.T) {
 	r := newRig(t)
 	r.p.HandleDowncall(0, uchan.Msg{Op: OpCarrierOn})

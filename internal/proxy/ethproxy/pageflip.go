@@ -15,7 +15,6 @@ package ethproxy
 // TOCTOU property never depends on driver cooperation.
 
 import (
-	"sud/internal/kernel/netstack"
 	"sud/internal/mem"
 	"sud/internal/proxy/protocol"
 	"sud/internal/sim"
@@ -82,7 +81,7 @@ func (p *Proxy) netifRxBatchFlip(q int, refs []RxRef) {
 				for slot := 0; slot < slotsPerPage; slot++ {
 					r := g.refs[slot]
 					n := int(r.Len)
-					if n > netstack.EthHeaderLen+1500+4 {
+					if n > maxFrame {
 						p.RxBadLength++
 						continue
 					}

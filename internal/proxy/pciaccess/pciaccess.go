@@ -787,6 +787,9 @@ func (df *DeviceFile) teardownIRQ() {
 	if capOff := kernel.FindCapability(cfg, pci.CapIDMSI); capOff != 0 {
 		cfg.Write(capOff+2, 2, 0)
 	}
+	// The vector goes back to the kernel, so a driver killed and
+	// restarted any number of times never runs the machine out of vectors.
+	df.K.M.Vec.Free(df.vector)
 	df.irqRequested = false
 }
 

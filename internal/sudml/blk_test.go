@@ -126,7 +126,7 @@ func TestSUDBlockForgedCompletionRefRejected(t *testing.T) {
 	var gotErr error
 	completed := false
 	if err := w.dev.ReadAtQ(3, 0, func(data []byte, err error) {
-		got, gotErr, completed = data, err, true
+		got, gotErr, completed = append([]byte(nil), data...), err, true
 	}); err != nil {
 		t.Fatal(err)
 	}

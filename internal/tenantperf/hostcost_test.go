@@ -1,0 +1,26 @@
+package tenantperf
+
+import (
+	"runtime"
+	"testing"
+)
+
+// TestBootHostCost pins what booting the tenant testbed (the kv
+// benchmark's: 4 tenants x 32 connections on 4 queues, both drivers
+// supervised) costs the host. DMA pages and NVMe media are backed on first
+// touch, so the boot backs a handful of guest pages and allocates about
+// 0.95 MiB; backing them eagerly took 1,683 pages and 23.5 MiB.
+func TestBootHostCost(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tb, err := NewTestbed(Config{Mode: ModeSUD, Tenants: 4, Conns: 32, Queues: 4})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pages, alloc := tb.M.Mem.PageCount(), after.TotalAlloc-before.TotalAlloc
+	t.Logf("boot: %d backed pages, %d B allocated", pages, alloc)
+	if pages > 22 || alloc > 2<<20 {
+		t.Fatalf("boot backed %d pages (bound 22) and allocated %d B (bound 2 MiB)", pages, alloc)
+	}
+}
