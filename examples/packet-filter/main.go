@@ -113,10 +113,10 @@ func main() {
 	for i := 0; i < 300; i++ {
 		var f []byte
 		if i%3 == 0 {
-			f = netstack.BuildTCPFrame(src, dst, netstack.IP{10, 0, 0, 2}, netstack.IP{10, 0, 0, 1},
+			f = netstack.AppendTCPFrame(nil, src, dst, netstack.IP{10, 0, 0, 2}, netstack.IP{10, 0, 0, 1},
 				netstack.TCPHeader{SrcPort: 1, DstPort: 2, Flags: netstack.TCPAck}, make([]byte, 100))
 		} else {
-			f = netstack.BuildUDPFrame(src, dst, netstack.IP{10, 0, 0, 2}, netstack.IP{10, 0, 0, 1},
+			f = netstack.AppendUDPFrame(nil, src, dst, netstack.IP{10, 0, 0, 2}, netstack.IP{10, 0, 0, 1},
 				1, 2, make([]byte, 100))
 		}
 		m.Loop.After(sim.Duration(i)*30*sim.Microsecond, func() { _ = link.Send(1, f) })

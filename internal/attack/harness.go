@@ -45,7 +45,7 @@ type wirePeer struct {
 	captured [][]byte
 }
 
-func (p *wirePeer) LinkDeliver(f []byte) { p.captured = append(p.captured, f) }
+func (p *wirePeer) LinkDeliver(f []byte) { p.captured = append(p.captured, bytes.Clone(f)) }
 
 // flood schedules n raw frames at the DUT, spaced by interval.
 func (p *wirePeer) flood(n int, frame []byte, interval sim.Duration) {

@@ -108,7 +108,7 @@ func RSSSteer(cfg Config) (Outcome, error) {
 
 	flows := func(peer *wirePeer, dstMAC [6]byte, dstIP netstack.IP, dport uint16) {
 		for s := uint16(0); s < 4; s++ {
-			f := netstack.BuildUDPFrame(netstack.MAC{9, 9, 9, 9, 9, 9}, netstack.MAC(dstMAC),
+			f := netstack.AppendUDPFrame(nil, netstack.MAC{9, 9, 9, 9, 9, 9}, netstack.MAC(dstMAC),
 				netstack.IP{10, 8, 9, 9}, dstIP, 41000+s, dport, make([]byte, 64))
 			peer.flood(50, f, 10*sim.Microsecond)
 		}

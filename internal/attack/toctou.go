@@ -83,10 +83,10 @@ func newTOCTOURig() (*toctouRig, error) {
 // approved port 80, and its evil twin targeting the firewalled service
 // (checksum fixed up by rebuilding).
 func (r *toctouRig) frames() (innocent, evil []byte) {
-	innocent = netstack.BuildUDPFrame(
+	innocent = netstack.AppendUDPFrame(nil,
 		netstack.MAC{2, 0, 0, 0, 0, 2}, r.ifc.MAC,
 		netstack.IP{10, 0, 0, 2}, netstack.IP{10, 0, 0, 1}, 1234, 80, []byte("GET /"))
-	evil = netstack.BuildUDPFrame(
+	evil = netstack.AppendUDPFrame(nil,
 		netstack.MAC{2, 0, 0, 0, 0, 2}, r.ifc.MAC,
 		netstack.IP{10, 0, 0, 2}, netstack.IP{10, 0, 0, 1}, 1234, 6666, []byte("GET /"))
 	return innocent, evil

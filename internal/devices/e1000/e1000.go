@@ -9,6 +9,7 @@ package e1000
 
 import (
 	"sud/internal/ethlink"
+	"sud/internal/fifo"
 	"sud/internal/mem"
 	"sud/internal/pci"
 	"sud/internal/sim"
@@ -187,15 +188,22 @@ type NIC struct {
 	txBusyUntil [MaxTxQueues]sim.Time
 
 	// RX engine state, one engine (and packet FIFO) per hardware queue.
-	rxQueue     [MaxRxQueues][][]byte // frames awaiting ring placement
+	rxQueue     [MaxRxQueues]fifo.Bytes // frames awaiting ring placement
 	rxActive    [MaxRxQueues]bool
 	rxBusyUntil [MaxRxQueues]sim.Time
 
 	// Engine DMA buffers. Each engine step runs to completion before the
 	// next is scheduled, so one set serves every queue; ethlink.Send
-	// copies the frame it is handed.
+	// copies the frame it is handed. rxFrame holds the frame rxStep is
+	// placing, so the frame leaves the RX FIFO before its DMA runs.
 	txDesc, rxDesc [DescSize]byte
 	txFrame        [ethlink.MaxFrame]byte
+	rxFrame        []byte
+
+	// Engine steps and the ITR-deferred interrupt, bound once in New.
+	txStepFn [MaxTxQueues]func()
+	rxStepFn [MaxRxQueues]func()
+	itrFn    func()
 
 	// Interrupt moderation.
 	lastIntAt  sim.Time
@@ -239,6 +247,16 @@ func New(loop *sim.Loop, bdf pci.BDF, barBase uint64, macAddr [6]byte, p Params)
 			n.maybeInterrupt()
 		}
 	}
+	for q := range n.txStepFn {
+		n.txStepFn[q] = func() { n.txStep(q) }
+	}
+	for q := range n.rxStepFn {
+		n.rxStepFn[q] = func() { n.rxStep(q) }
+	}
+	n.itrFn = func() {
+		n.intPending = false
+		n.maybeInterrupt()
+	}
 	n.reset()
 	return n
 }
@@ -264,7 +282,7 @@ func (n *NIC) reset() {
 	}
 	n.regs[RegITR] = 0
 	for q := range n.rxQueue {
-		n.rxQueue[q] = nil
+		n.rxQueue[q].Clear()
 	}
 	n.intPending = false
 	// RAL/RAH from EEPROM, as hardware autoloads.
@@ -479,10 +497,7 @@ func (n *NIC) maybeInterrupt() {
 	if gap > 0 && now-n.lastIntAt < gap {
 		if !n.intPending {
 			n.intPending = true
-			n.loop.At(n.lastIntAt+gap, func() {
-				n.intPending = false
-				n.maybeInterrupt()
-			})
+			n.loop.At(n.lastIntAt+gap, n.itrFn)
 		}
 		return
 	}
@@ -508,7 +523,7 @@ func (n *NIC) kickTx(q int) {
 	if now := n.loop.Now(); start < now {
 		start = now
 	}
-	n.loop.At(start, func() { n.txStep(q) })
+	n.loop.At(start, n.txStepFn[q])
 }
 
 // txStep processes one TX descriptor on queue q, then reschedules itself
@@ -573,7 +588,7 @@ func (n *NIC) advanceTxHead(q int, engine sim.Duration) {
 	n.txBusyUntil[q] += engine
 	if n.regs[hdOff] != n.regs[tlOff] {
 		n.txActive[q] = true
-		n.loop.At(n.txBusyUntil[q], func() { n.txStep(q) })
+		n.loop.At(n.txBusyUntil[q], n.txStepFn[q])
 	}
 }
 
@@ -616,24 +631,25 @@ func (n *NIC) steerQueue(frame []byte) int {
 }
 
 // LinkDeliver implements ethlink.Endpoint: a frame arrived from the wire and
-// is steered to an RX ring by the RSS hash.
+// is steered to an RX ring by the RSS hash. The frame is copied into the
+// ring's FIFO.
 func (n *NIC) LinkDeliver(frame []byte) {
 	if n.regs[RegRCTL]&RctlEN == 0 || !n.linkUp() {
 		return
 	}
 	q := n.steerQueue(frame)
 	// Hardware FIFO: bounded per ring; beyond it the receiver overruns.
-	if len(n.rxQueue[q]) >= 256 {
+	if n.rxQueue[q].Len() >= 256 {
 		n.RxDropsNoDesc++
 		n.assertCause(IntRXO)
 		return
 	}
-	n.rxQueue[q] = append(n.rxQueue[q], frame)
+	n.rxQueue[q].Push(frame)
 	n.kickRx(q)
 }
 
 func (n *NIC) kickRx(q int) {
-	if n.rxActive[q] || len(n.rxQueue[q]) == 0 {
+	if n.rxActive[q] || n.rxQueue[q].Len() == 0 {
 		return
 	}
 	n.rxActive[q] = true
@@ -641,7 +657,7 @@ func (n *NIC) kickRx(q int) {
 	if now := n.loop.Now(); start < now {
 		start = now
 	}
-	n.loop.At(start, func() { n.rxStep(q) })
+	n.loop.At(start, n.rxStepFn[q])
 }
 
 // rxStep processes one received frame on ring q, then reschedules itself
@@ -650,7 +666,7 @@ func (n *NIC) kickRx(q int) {
 // mirror of txStep's tagging).
 func (n *NIC) rxStep(q int) {
 	n.rxActive[q] = false
-	if len(n.rxQueue[q]) == 0 {
+	if n.rxQueue[q].Len() == 0 {
 		return
 	}
 	// Hardware owns descriptors in [RDH, RDT); RDH == RDT means software
@@ -659,13 +675,14 @@ func (n *NIC) rxStep(q int) {
 	if head == n.regs[RxQOff(q, RegRDT)] {
 		// No free descriptors: drop.
 		n.RxDropsNoDesc++
-		n.rxQueue[q] = n.rxQueue[q][1:]
+		n.rxQueue[q].Pop()
 		n.assertCause(IntRXO)
 		n.kickRx(q)
 		return
 	}
-	frame := n.rxQueue[q][0]
-	n.rxQueue[q] = n.rxQueue[q][1:]
+	n.rxFrame = append(n.rxFrame[:0], n.rxQueue[q].Peek()...)
+	frame := n.rxFrame
+	n.rxQueue[q].Pop()
 
 	engine := n.params.RxPerPacket
 	descAddr := n.rxBase(q) + mem.Addr(head*DescSize)
@@ -710,9 +727,9 @@ func (n *NIC) finishRx(q int, engine sim.Duration) {
 		n.rxBusyUntil[q] = now
 	}
 	n.rxBusyUntil[q] += engine
-	if len(n.rxQueue[q]) > 0 {
+	if n.rxQueue[q].Len() > 0 {
 		n.rxActive[q] = true
-		n.loop.At(n.rxBusyUntil[q], func() { n.rxStep(q) })
+		n.loop.At(n.rxBusyUntil[q], n.rxStepFn[q])
 	}
 }
 

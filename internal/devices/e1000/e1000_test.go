@@ -31,7 +31,7 @@ type rig struct {
 
 type captureEnd struct{ frames [][]byte }
 
-func (c *captureEnd) LinkDeliver(f []byte) { c.frames = append(c.frames, f) }
+func (c *captureEnd) LinkDeliver(f []byte) { c.frames = append(c.frames, bytes.Clone(f)) }
 
 func newRig(t *testing.T) *rig {
 	t.Helper()
@@ -400,4 +400,62 @@ func TestRingWraparound(t *testing.T) {
 		t.Fatalf("wire saw %d frames, want %d", len(r.peer.frames), total)
 	}
 	_ = sim.Second
+}
+
+// countEnd is a wire peer that keeps nothing.
+type countEnd struct{ n int }
+
+func (c *countEnd) LinkDeliver([]byte) { c.n++ }
+
+// TestEngineAllocatesNothing pins both engines once warm: a TDT doorbell
+// through the queue's bound txStep onto the wire, and frames from the wire
+// through LinkDeliver's RX FIFO and the bound rxStep into host memory.
+func TestEngineAllocatesNothing(t *testing.T) {
+	r := newRig(t)
+	peer := &countEnd{}
+	r.link.Connect(r.nic, peer)
+	txBuf, rxBuf := r.bufs, r.bufs+mem.PageSize
+	r.m.Mem.MustWrite(txBuf, bytes.Repeat([]byte{0x5A}, 100))
+	for i := uint32(0); i < r.ringLen; i++ {
+		desc := make([]byte, DescSize)
+		putLE64(desc[0:8], uint64(txBuf))
+		putLE16(desc[8:10], 100)
+		desc[11] = TxCmdEOP | TxCmdRS
+		r.m.Mem.MustWrite(r.txRing+mem.Addr(i*DescSize), desc)
+		desc = make([]byte, DescSize)
+		putLE64(desc[0:8], uint64(rxBuf))
+		r.m.Mem.MustWrite(r.rxRing+mem.Addr(i*DescSize), desc)
+	}
+	const burst = 8
+	frame := bytes.Repeat([]byte{0xA5}, 60)
+	var tdt, rdt uint32
+	tx := func() {
+		tdt = (tdt + burst) % r.ringLen
+		r.nic.MMIOWrite(0, RegTDT, 4, uint64(tdt))
+		r.m.Loop.Run()
+	}
+	rx := func() {
+		rdt = (rdt + burst) % r.ringLen
+		r.nic.MMIOWrite(0, RegRDT, 4, uint64(rdt))
+		for i := 0; i < burst; i++ {
+			r.nic.LinkDeliver(frame)
+		}
+		r.m.Loop.Run()
+	}
+	tx()
+	rx()
+	if allocs := testing.AllocsPerRun(50, tx); allocs != 0 {
+		t.Fatalf("%d TX steps allocate %.0f times, want 0", burst, allocs)
+	}
+	if allocs := testing.AllocsPerRun(50, rx); allocs != 0 {
+		t.Fatalf("%d RX deliveries and steps allocate %.0f times, want 0", burst, allocs)
+	}
+	if peer.n != 52*burst || r.nic.RxPackets != 52*burst || r.nic.DMAFaults != 0 {
+		t.Fatalf("sent %d, received %d (%d DMA faults), want %d each", peer.n, r.nic.RxPackets, r.nic.DMAFaults, 52*burst)
+	}
+	got := make([]byte, len(frame))
+	r.m.Mem.MustRead(rxBuf, got)
+	if !bytes.Equal(got, frame) {
+		t.Fatal("received frame did not land in the RX buffer")
+	}
 }

@@ -11,7 +11,7 @@ import (
 
 type sink struct{ frames [][]byte }
 
-func (s *sink) LinkDeliver(f []byte) { s.frames = append(s.frames, f) }
+func (s *sink) LinkDeliver(f []byte) { s.frames = append(s.frames, bytes.Clone(f)) }
 
 func rig(t *testing.T) (*sim.Loop, *Card, *ethlink.Link, *sink) {
 	t.Helper()

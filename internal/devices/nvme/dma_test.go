@@ -163,3 +163,34 @@ func TestCachedWriteAllocatesNothingOnceFull(t *testing.T) {
 		t.Fatal("cached block does not hold the PRP1+PRP2 payload")
 	}
 }
+
+// TestIOStepAllocatesNothing pins an I/O queue's engine once warm: the SQ
+// doorbell schedules the queue's bound step, which fetches each SQE, reads
+// its block into host memory and posts the CQE from the controller's own
+// buffers.
+func TestIOStepAllocatesNothing(t *testing.T) {
+	r, sqb, buf := mediaRig(t)
+	const entries, burst = 16, 4
+	for slot := 0; slot < entries; slot++ {
+		sqe := make([]byte, SQESize)
+		sqe[sqeOpcode] = CmdRead
+		putLE16(sqe[sqeCID:sqeCID+2], uint16(slot))
+		putLE64(sqe[sqePRP1:sqePRP1+8], uint64(buf))
+		putLE64(sqe[sqeSLBA:sqeSLBA+8], uint64(slot))
+		r.m.Mem.MustWrite(sqb+mem.Addr(slot*SQESize), sqe)
+	}
+	tail := 0
+	step := func() {
+		r.c.MMIOWrite(0, CQDoorbell(1), 4, uint64(tail)) // the host consumed every CQE
+		tail = (tail + burst) % entries
+		r.c.MMIOWrite(0, SQDoorbell(1), 4, uint64(tail))
+		r.m.Loop.RunFor(sim.Millisecond)
+	}
+	step()
+	if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
+		t.Fatalf("%d I/O steps allocate %.0f times, want 0", burst, allocs)
+	}
+	if r.c.ReadBlocks != 52*burst || r.c.CQOverruns != 0 {
+		t.Fatalf("read %d blocks (%d CQ overruns), want %d", r.c.ReadBlocks, r.c.CQOverruns, 52*burst)
+	}
+}

@@ -284,6 +284,12 @@ type Ctrl struct {
 	// sqe is the I/O engines' SQE fetch buffer. Each engine step runs to
 	// completion before the next is scheduled, so one serves every queue.
 	sqe [SQESize]byte
+	// cqe is postCQE's entry, built and DMA-written in one call.
+	cqe [CQESize]byte
+
+	// Engine steps and the coalesced-interrupt callback, bound once in New.
+	ioStepFn [1 + MaxIOQueues]func()
+	intFn    func()
 
 	// Queue 0 is the admin pair; 1..MaxIOQueues are I/O pairs.
 	sq [1 + MaxIOQueues]sqState
@@ -347,6 +353,13 @@ func New(loop *sim.Loop, bdf pci.BDF, barBase uint64, p Params) *Ctrl {
 		if !cfg.MSI().Masked {
 			c.maybeInterrupt()
 		}
+	}
+	for qid := 1; qid < len(c.ioStepFn); qid++ {
+		c.ioStepFn[qid] = func() { c.ioStep(qid) }
+	}
+	c.intFn = func() {
+		c.intDeferred = false
+		c.maybeInterrupt()
 	}
 	c.reset()
 	return c
@@ -698,7 +711,8 @@ func (c *Ctrl) postCQE(cqid int, sqid int, cid uint16, result uint32, status uin
 		c.CQOverruns++
 		return false
 	}
-	var e [CQESize]byte
+	e := &c.cqe
+	*e = [CQESize]byte{}
 	putLE32(e[0:4], result)
 	putLE16(e[8:10], uint16(c.sq[sqid].head))
 	putLE16(e[10:12], uint16(sqid))
@@ -738,10 +752,7 @@ func (c *Ctrl) maybeInterrupt() {
 	if gap > 0 && now-c.lastIntAt < gap {
 		if !c.intDeferred {
 			c.intDeferred = true
-			c.loop.At(c.lastIntAt+gap, func() {
-				c.intDeferred = false
-				c.maybeInterrupt()
-			})
+			c.loop.At(c.lastIntAt+gap, c.intFn)
 		}
 		return
 	}
@@ -900,7 +911,7 @@ func (c *Ctrl) kickEngine(qid int) {
 	if now := c.loop.Now(); start < now {
 		start = now
 	}
-	c.loop.At(start, func() { c.ioStep(qid) })
+	c.loop.At(start, c.ioStepFn[qid])
 }
 
 // ioStep processes one I/O command on queue qid, then reschedules itself
@@ -1092,7 +1103,7 @@ func (c *Ctrl) finishIO(qid int, engine sim.Duration) {
 	sq := &c.sq[qid]
 	if sq.created && sq.head != c.regs[SQDoorbell(qid)] {
 		c.engineActive[qid] = true
-		c.loop.At(c.engineBusyUntil[qid], func() { c.ioStep(qid) })
+		c.loop.At(c.engineBusyUntil[qid], c.ioStepFn[qid])
 	}
 }
 

@@ -61,7 +61,9 @@ type NetDevice interface {
 	// Stop quiesces the device (ndo_stop).
 	Stop() error
 	// StartXmit transmits one Ethernet frame (ndo_start_xmit). The
-	// callee owns the slice.
+	// slice is valid only during the call: the caller reuses it once the
+	// call returns, so a driver copies the frame into its own buffer (a
+	// DMA ring slot, device SRAM, a proxy slot) before returning.
 	StartXmit(frame []byte) error
 	// DoIoctl handles device-private ioctls (ndo_do_ioctl), e.g.
 	// SIOCGMIIREG in the paper's example.
@@ -76,7 +78,8 @@ type MultiQueueNetDevice interface {
 	NetDevice
 	// TxQueues reports the number of hardware transmit queues.
 	TxQueues() int
-	// StartXmitQ transmits one frame on the given queue.
+	// StartXmitQ transmits one frame on the given queue. Like
+	// StartXmit's, the slice is valid only during the call.
 	StartXmitQ(frame []byte, queue int) error
 }
 
@@ -115,7 +118,10 @@ const (
 // backpressured queue never stalls its siblings.
 type NetKernel interface {
 	// NetifRx submits a received frame to the kernel's network stack,
-	// tagged with the RX ring it arrived on. The callee owns the slice.
+	// tagged with the RX ring it arrived on. The slice is valid only
+	// during the call: a driver may hand over a view of a DMA buffer it
+	// re-arms as soon as the call returns, so a kernel that keeps the
+	// frame copies it.
 	NetifRx(frame []byte, queue int)
 	// CarrierOn/CarrierOff report link state changes (the shared-memory
 	// state the SUD proxy mirrors, §3.3).

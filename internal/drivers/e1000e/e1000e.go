@@ -131,6 +131,10 @@ type nic struct {
 	tx []txq
 	rx []rxq
 
+	// desc is the scratch descriptor StartXmitQ and armRxDesc build before
+	// writeDesc copies it into a ring; nothing runs between the two.
+	desc [e1000.DescSize]byte
+
 	opened  bool
 	removed bool
 	carrier bool
@@ -365,7 +369,8 @@ func (n *nic) StartXmitQ(frame []byte, q int) error {
 		return err
 	}
 	// Build the legacy TX descriptor.
-	var desc [e1000.DescSize]byte
+	desc := &n.desc
+	*desc = [e1000.DescSize]byte{}
 	putLE64(desc[0:8], uint64(t.bufs.BusAddr())+uint64(bufOff))
 	putLE16(desc[8:10], uint16(len(frame)))
 	desc[11] = e1000.TxCmdEOP | e1000.TxCmdRS
@@ -574,7 +579,8 @@ func (n *nic) RecyclePages(q int, pages []mem.Addr) {
 // status.
 func (n *nic) armRxDesc(q, i int) {
 	r := &n.rx[q]
-	var desc [e1000.DescSize]byte
+	desc := &n.desc
+	*desc = [e1000.DescSize]byte{}
 	putLE64(desc[0:8], uint64(r.bufs.BusAddr())+uint64(i*BufSize))
 	if err := n.writeDesc(r.ring, i, desc[:]); err != nil {
 		n.env.Logf("e1000e: arm rx desc %d/%d: %v", q, i, err)

@@ -31,7 +31,7 @@ type echoPeer struct {
 }
 
 func (p *echoPeer) LinkDeliver(frame []byte) {
-	p.seen = append(p.seen, frame)
+	p.seen = append(p.seen, bytes.Clone(frame))
 	eh, ipPkt, err := netstack.ParseEth(frame)
 	if err != nil || eh.EtherType != netstack.EtherTypeIPv4 {
 		return
@@ -45,7 +45,7 @@ func (p *echoPeer) LinkDeliver(frame []byte) {
 		return
 	}
 	// Echo back after a small turnaround.
-	reply := netstack.BuildUDPFrame(peerMAC, netstack.MAC(eh.Src), ih.Dst, ih.Src, 7, uh.SrcPort, payload)
+	reply := netstack.AppendUDPFrame(nil, peerMAC, netstack.MAC(eh.Src), ih.Dst, ih.Src, 7, uh.SrcPort, payload)
 	p.loop.After(5*sim.Microsecond, func() {
 		p.echos++
 		_ = p.link.Send(1, reply)
@@ -133,7 +133,7 @@ func TestMultiRingRxSteering(t *testing.T) {
 	// redirection table, so every ring must see traffic.
 	const flows, per = 16, 5
 	for s := 0; s < flows; s++ {
-		f := netstack.BuildUDPFrame(peerMAC, netstack.MAC(dutMAC), peerIP, dutIP,
+		f := netstack.AppendUDPFrame(nil, peerMAC, netstack.MAC(dutMAC), peerIP, dutIP,
 			uint16(41000+s), 9000, make([]byte, 64))
 		for i := 0; i < per; i++ {
 			w.m.Loop.After(sim.Duration(i)*100*sim.Microsecond, func() { _ = w.peerLink().Send(1, f) })
@@ -310,7 +310,7 @@ func TestStopFreesAndQuiesces(t *testing.T) {
 	}
 	// Frames arriving now are ignored by the closed device.
 	before := w.nic.RxPackets
-	reply := netstack.BuildUDPFrame(peerMAC, netstack.MAC(dutMAC), peerIP, dutIP, 7, 5000, []byte("x"))
+	reply := netstack.AppendUDPFrame(nil, peerMAC, netstack.MAC(dutMAC), peerIP, dutIP, 7, 5000, []byte("x"))
 	if err := w.peerLink().Send(1, reply); err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +342,7 @@ func TestInterruptModerationUnderLoad(t *testing.T) {
 	// Blast 200 small frames at the DUT; with ITR at 8000/s over the
 	// ~1 ms of delivery, interrupts should be far fewer than frames.
 	for i := 0; i < 200; i++ {
-		f := netstack.BuildUDPFrame(peerMAC, netstack.MAC(dutMAC), peerIP, dutIP, 7, 9999, []byte{byte(i)})
+		f := netstack.AppendUDPFrame(nil, peerMAC, netstack.MAC(dutMAC), peerIP, dutIP, 7, 9999, []byte{byte(i)})
 		w.m.Loop.After(sim.Duration(i)*4*sim.Microsecond, func() {
 			_ = w.peerLink().Send(1, f)
 		})

@@ -28,7 +28,7 @@ type capturePeer struct {
 	seen [][]byte
 }
 
-func (p *capturePeer) LinkDeliver(f []byte) { p.seen = append(p.seen, f) }
+func (p *capturePeer) LinkDeliver(f []byte) { p.seen = append(p.seen, bytes.Clone(f)) }
 
 type world struct {
 	m    *hw.Machine
@@ -117,7 +117,7 @@ func TestPIOReceive(t *testing.T) {
 			t.Fatal(err)
 		}
 		payload := []byte("through the SRAM ring")
-		f := netstack.BuildUDPFrame(peerMAC, netstack.MAC(cardMAC), peerIP, cardIP, 1, 7777, payload)
+		f := netstack.AppendUDPFrame(nil, peerMAC, netstack.MAC(cardMAC), peerIP, cardIP, 1, 7777, payload)
 		if err := w.link.Send(1, f); err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +139,7 @@ func TestRingWrapsManyPackets(t *testing.T) {
 		// 120 frames of ~1 KiB: several times around the 58-page ring.
 		payload := bytes.Repeat([]byte{0xA5}, 1000)
 		for i := 0; i < 120; i++ {
-			f := netstack.BuildUDPFrame(peerMAC, netstack.MAC(cardMAC), peerIP, cardIP, 1, 7777, payload)
+			f := netstack.AppendUDPFrame(nil, peerMAC, netstack.MAC(cardMAC), peerIP, cardIP, 1, 7777, payload)
 			w.m.Loop.After(sim.Duration(i)*200*sim.Microsecond, func() { _ = w.link.Send(1, f) })
 		}
 		w.m.Loop.RunFor(60 * sim.Millisecond)

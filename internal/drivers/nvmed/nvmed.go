@@ -138,6 +138,10 @@ type ctrl struct {
 
 	io []ioq
 
+	// sqe is the scratch I/O command Submit builds before writeRing copies
+	// it into the SQ; nothing runs between the two.
+	sqe [nvme.SQESize]byte
+
 	opened  bool
 	removed bool
 
@@ -423,7 +427,8 @@ func (c *ctrl) Submit(q int, req api.BlockRequest) error {
 			return err
 		}
 	}
-	var sqe [nvme.SQESize]byte
+	sqe := &c.sqe
+	*sqe = [nvme.SQESize]byte{}
 	switch {
 	case req.Flush:
 		// A flush barrier: no payload, no LBA — the controller drains its

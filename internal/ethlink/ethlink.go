@@ -6,8 +6,10 @@
 package ethlink
 
 import (
+	"errors"
 	"fmt"
 
+	"sud/internal/fifo"
 	"sud/internal/sim"
 )
 
@@ -32,9 +34,20 @@ const GigabitBps = 1_000_000_000
 // Endpoint receives frames from the link.
 type Endpoint interface {
 	// LinkDeliver hands a received frame to the endpoint. The slice is
-	// owned by the callee.
+	// valid only during the call: it is a view of the link's wire FIFO,
+	// and an endpoint that keeps the frame copies it.
 	LinkDeliver(frame []byte)
 }
+
+// Send's drop errors that a saturated or unplugged link produces per
+// frame; they are sentinels so a flood formats nothing.
+var (
+	// ErrOverrun reports a frame dropped because the sender's FIFO was
+	// more than QueueLimit ahead of the clock.
+	ErrOverrun = errors.New("ethlink: transmit FIFO overrun")
+	// ErrNoCarrier reports a frame sent while carrier was down.
+	ErrNoCarrier = errors.New("ethlink: no carrier")
+)
 
 // Link is a point-to-point full-duplex link. Side 0 and side 1 each have an
 // independent serialization pipe.
@@ -46,6 +59,15 @@ type Link struct {
 	ends      [2]Endpoint
 	busyUntil [2]sim.Time
 	carrier   bool
+
+	// Per sending side: the frames serialising or in flight, oldest first,
+	// each with the endpoint it was sent to, and the callback that delivers
+	// the oldest. Deliveries per side fire in send order — a frame's
+	// arrival time is its side's busyUntil after the send, which only
+	// grows — so the oldest queued frame is always the one arriving.
+	wire    [2]fifo.Bytes
+	dst     [2]fifo.Queue[Endpoint]
+	deliver [2]func()
 
 	// Stats per direction (index = sending side).
 	frames [2]uint64
@@ -61,7 +83,10 @@ type Link struct {
 // NewGigabit returns a 1 Gb/s link with the given propagation delay (a
 // switched LAN hop is sub-microsecond; the paper used one switch).
 func NewGigabit(loop *sim.Loop, prop sim.Duration) *Link {
-	return &Link{loop: loop, rate: GigabitBps, prop: prop, carrier: true, QueueLimit: 2 * sim.Millisecond}
+	l := &Link{loop: loop, rate: GigabitBps, prop: prop, carrier: true, QueueLimit: 2 * sim.Millisecond}
+	l.deliver[0] = func() { l.deliverOldest(0) }
+	l.deliver[1] = func() { l.deliverOldest(1) }
+	return l
 }
 
 // Connect attaches both endpoints. Side 0 and 1 are arbitrary but fixed.
@@ -89,7 +114,8 @@ func (l *Link) SerializationDelay(n int) sim.Duration {
 // Send transmits frame from the given side (0 or 1). It models the sender's
 // FIFO: transmission begins when the pipe is free, and delivery happens one
 // serialization delay plus propagation later. Send never blocks; overrunning
-// the queue limit drops the frame, as a real FIFO would.
+// the queue limit drops the frame, as a real FIFO would. The frame is copied
+// into the wire FIFO, so the caller may reuse it when Send returns.
 func (l *Link) Send(side int, frame []byte) error {
 	if side != 0 && side != 1 {
 		return fmt.Errorf("ethlink: bad side %d", side)
@@ -100,7 +126,7 @@ func (l *Link) Send(side int, frame []byte) error {
 	}
 	if !l.carrier {
 		l.drops[side]++
-		return fmt.Errorf("ethlink: no carrier")
+		return ErrNoCarrier
 	}
 	peer := l.ends[1-side]
 	if peer == nil {
@@ -114,16 +140,23 @@ func (l *Link) Send(side int, frame []byte) error {
 	}
 	if start-now > l.QueueLimit {
 		l.drops[side]++
-		return fmt.Errorf("ethlink: transmit FIFO overrun")
+		return ErrOverrun
 	}
 	done := start + l.SerializationDelay(len(frame))
 	l.busyUntil[side] = done
 	l.frames[side]++
 	l.bytes[side] += uint64(len(frame))
-	buf := make([]byte, len(frame))
-	copy(buf, frame)
-	l.loop.At(done+l.prop, func() { peer.LinkDeliver(buf) })
+	l.wire[side].Push(frame)
+	l.dst[side].Push(peer)
+	l.loop.At(done+l.prop, l.deliver[side])
 	return nil
+}
+
+// deliverOldest hands side's oldest frame in flight to the endpoint it was
+// sent to, then drops it from the wire.
+func (l *Link) deliverOldest(side int) {
+	l.dst[side].Pop().LinkDeliver(l.wire[side].Peek())
+	l.wire[side].Pop()
 }
 
 // Stats returns per-direction counters for the given sending side.

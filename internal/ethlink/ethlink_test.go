@@ -1,6 +1,8 @@
 package ethlink
 
 import (
+	"bytes"
+	"errors"
 	"testing"
 
 	"sud/internal/sim"
@@ -13,7 +15,7 @@ type sink struct {
 }
 
 func (s *sink) LinkDeliver(f []byte) {
-	s.frames = append(s.frames, f)
+	s.frames = append(s.frames, bytes.Clone(f))
 	s.at = append(s.at, s.loop.Now())
 }
 
@@ -111,8 +113,8 @@ func TestCarrierDown(t *testing.T) {
 	loop := sim.NewLoop()
 	l, _, b := pair(loop, 0)
 	l.SetCarrier(false)
-	if err := l.Send(0, make([]byte, 64)); err == nil {
-		t.Fatal("send without carrier succeeded")
+	if err := l.Send(0, make([]byte, 64)); !errors.Is(err, ErrNoCarrier) {
+		t.Fatalf("send without carrier: err = %v, want ErrNoCarrier", err)
 	}
 	if l.Carrier() {
 		t.Fatal("carrier reads up")
@@ -143,6 +145,9 @@ func TestQueueLimitDrops(t *testing.T) {
 	var errs int
 	for i := 0; i < 10; i++ {
 		if err := l.Send(0, f); err != nil {
+			if !errors.Is(err, ErrOverrun) {
+				t.Fatalf("err = %v, want ErrOverrun", err)
+			}
 			errs++
 		}
 	}
@@ -186,4 +191,102 @@ func TestGigabitSaturationRate(t *testing.T) {
 		t.Fatalf("saturated payload rate = %.1f Mbit/s, want ~941", mbps)
 	}
 	_ = n
+}
+
+// TestMixedFramesBothSidesInOrder: frames of mixed sizes from both sides
+// arrive intact and in send order, each side's frame one serialization
+// delay after its side's previous frame finished (or after its send, when
+// the pipe was idle) plus propagation. Part of the traffic is sent while
+// earlier frames are still in flight, so each side's wire FIFO wraps.
+func TestMixedFramesBothSidesInOrder(t *testing.T) {
+	const prop = 300
+	loop := sim.NewLoop()
+	l, a, b := pair(loop, prop)
+	sinks := [2]*sink{b, a} // side s delivers to the other end
+	var want [2][][]byte
+	var wantAt [2][]sim.Time
+	var busy [2]sim.Time
+	sizes := []int{60, 1514, 60, 60, 1514, 100, 1514, 60, 1000, 60}
+	for round := 0; round < 6; round++ {
+		for i, n := range sizes {
+			side := (i + round) % 2
+			f := bytes.Repeat([]byte{byte(round*len(sizes) + i)}, n)
+			if err := l.Send(side, f); err != nil {
+				t.Fatal(err)
+			}
+			busy[side] = max(busy[side], loop.Now()) + l.SerializationDelay(n)
+			want[side] = append(want[side], f)
+			wantAt[side] = append(wantAt[side], busy[side]+prop)
+		}
+		loop.RunFor(25 * sim.Microsecond) // about half the round arrives
+	}
+	loop.Run()
+	for side, s := range sinks {
+		if len(s.frames) != len(want[side]) {
+			t.Fatalf("side %d: delivered %d frames, want %d", side, len(s.frames), len(want[side]))
+		}
+		for i := range want[side] {
+			if !bytes.Equal(s.frames[i], want[side][i]) {
+				t.Fatalf("side %d frame %d: wrong bytes", side, i)
+			}
+			if s.at[i] != wantAt[side][i] {
+				t.Fatalf("side %d frame %d at %v, want %v", side, i, s.at[i], wantAt[side][i])
+			}
+		}
+	}
+}
+
+// TestConnectBetweenSendsKeepsPeer: a frame goes to the endpoint that was
+// connected when it was sent, even if the link is rewired before it
+// arrives.
+func TestConnectBetweenSendsKeepsPeer(t *testing.T) {
+	loop := sim.NewLoop()
+	l, a, b := pair(loop, 0)
+	c := &sink{loop: loop}
+	if err := l.Send(0, []byte("to b")); err != nil {
+		t.Fatal(err)
+	}
+	l.Connect(a, c)
+	if err := l.Send(0, []byte("to c")); err != nil {
+		t.Fatal(err)
+	}
+	loop.Run()
+	if len(b.frames) != 1 || string(b.frames[0]) != "to b" {
+		t.Fatalf("b got %q", b.frames)
+	}
+	if len(c.frames) != 1 || string(c.frames[0]) != "to c" {
+		t.Fatalf("c got %q", c.frames)
+	}
+}
+
+// counter is an endpoint that keeps nothing.
+type counter struct{ n int }
+
+func (c *counter) LinkDeliver([]byte) { c.n++ }
+
+// TestSendDeliverAllocatesNothing pins the wire: once its FIFOs have grown,
+// sending frames both ways and delivering them allocates nothing.
+func TestSendDeliverAllocatesNothing(t *testing.T) {
+	loop := sim.NewLoop()
+	l := NewGigabit(loop, 300)
+	end := &counter{}
+	l.Connect(end, end)
+	f := make([]byte, MaxFrame)
+	cycle := func() {
+		for _, n := range []int{60, MaxFrame, 60, 200} {
+			for side := 0; side < 2; side++ {
+				if err := l.Send(side, f[:n]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		loop.Run()
+	}
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Fatalf("send and delivery allocate %v times per cycle", n)
+	}
+	if end.n != 102*8 {
+		t.Fatalf("delivered %d frames, want %d", end.n, 102*8)
+	}
 }

@@ -1,7 +1,10 @@
-// Package fifo provides Queue, the first-in first-out queue the host model
-// uses wherever work waits its turn: the uchan upcall ring, SUD-UML's
-// per-queue hold queues and the block core's parked requests, flush barriers
-// and replay schedules.
+// Package fifo provides the host model's reusable queues: Queue, the
+// first-in first-out queue it uses wherever work waits its turn (the uchan
+// upcall ring, SUD-UML's per-queue hold queues, the block core's parked
+// requests, flush barriers and replay schedules); Bytes, a FIFO of byte
+// strings packed into one ring, for frames that wait (on the wire, in a
+// NIC's RX FIFO, in the shadow TX log); and Buffers, the free list of
+// equally sized kernel buffers a path fills, hands over and takes back.
 //
 // A Queue is a ring over reusable storage. Popping never reslices the
 // backing array away, so a queue that drains and refills reuses the same

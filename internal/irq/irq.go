@@ -72,6 +72,9 @@ type Controller struct {
 	handlers [256]Handler
 	counts   [256]uint64
 	spurious uint64
+	// dispatchFn holds each vector's handler dispatch, bound on the
+	// vector's first delivery.
+	dispatchFn [256]func()
 
 	// DeliveryLatency is the MSI-write-to-handler-dispatch latency.
 	DeliveryLatency sim.Duration
@@ -133,14 +136,20 @@ func (c *Controller) MSIWrite(source pci.BDF, addr mem.Addr, data []byte) {
 func (c *Controller) deliver(v Vector) {
 	c.counts[v]++
 	c.trackStorm(v)
-	c.loop.After(c.DeliveryLatency, func() {
-		h := c.handlers[v]
-		if h == nil {
-			c.spurious++
-			return
-		}
-		h(v)
-	})
+	if c.dispatchFn[v] == nil {
+		c.dispatchFn[v] = func() { c.dispatch(v) }
+	}
+	c.loop.After(c.DeliveryLatency, c.dispatchFn[v])
+}
+
+// dispatch runs v's handler, as registered when the interrupt lands.
+func (c *Controller) dispatch(v Vector) {
+	h := c.handlers[v]
+	if h == nil {
+		c.spurious++
+		return
+	}
+	h(v)
 }
 
 // Inject delivers an interrupt directly (used by legacy/internal sources and

@@ -228,3 +228,24 @@ func TestVectorAllocatorFreeReuses(t *testing.T) {
 		t.Fatal("one freed vector handed out twice")
 	}
 }
+
+// TestDeliveryAllocatesNothingOnceBound: a vector's dispatch is bound on its
+// first delivery, so every later MSI through to the handler allocates
+// nothing.
+func TestDeliveryAllocatesNothingOnceBound(t *testing.T) {
+	l, c := setup()
+	n := 0
+	must(t, c.Register(0x41, func(Vector) { n++ }))
+	msg := []byte{0x41, 0, 0, 0}
+	deliver := func() {
+		c.MSIWrite(src, 0xFEE00000, msg)
+		l.Run()
+	}
+	deliver()
+	if allocs := testing.AllocsPerRun(100, deliver); allocs != 0 {
+		t.Fatalf("MSI delivery allocates %.0f times, want 0", allocs)
+	}
+	if n != 102 {
+		t.Fatalf("handler ran %d times, want 102", n)
+	}
+}

@@ -34,7 +34,7 @@ func (d *mqDev) StartXmitQ(f []byte, q int) error {
 	if d.txq == nil {
 		d.txq = map[int][][]byte{}
 	}
-	d.txq[q] = append(d.txq[q], f)
+	d.txq[q] = append(d.txq[q], bytes.Clone(f))
 	return nil
 }
 func (d *mqDev) DoIoctl(cmd uint32, arg []byte) ([]byte, error) { return nil, nil }
@@ -113,7 +113,7 @@ func newFixture(t *testing.T, tenants int, persist bool) *fixture {
 // send injects one client request frame on the tenant's RX queue and returns
 // the request id used.
 func (fx *fixture) send(tn *Tenant, sport uint16, req Request) {
-	frame := netstack.BuildUDPFrame([6]byte(cliMAC), [6]byte(srvMAC), cliIP, srvIP,
+	frame := netstack.AppendUDPFrame(nil, [6]byte(cliMAC), [6]byte(srvMAC), cliIP, srvIP,
 		sport, tn.Port, EncodeRequest(req))
 	fx.ifc.NetifRx(frame, tn.Queue)
 }
@@ -252,7 +252,7 @@ func TestBadRequestsDroppedWithoutReply(t *testing.T) {
 		{OpGet, 0, 0, 0, 0, 0, 0, 0, 1, 0},   // zero-length key
 		append(EncodeRequest(Request{Op: OpGet, ID: 1, Key: []byte("k")}), 0xFF), // trailing byte
 	} {
-		frame := netstack.BuildUDPFrame([6]byte(cliMAC), [6]byte(srvMAC), cliIP, srvIP,
+		frame := netstack.AppendUDPFrame(nil, [6]byte(cliMAC), [6]byte(srvMAC), cliIP, srvIP,
 			53000, tn.Port, garbage)
 		fx.ifc.NetifRx(frame, tn.Queue)
 	}

@@ -10,7 +10,7 @@ import (
 // The reference construction: L4 marshalled into a buffer of its own, then
 // copied behind the IPv4 header, and a checksum computed with the generic
 // RFC 1071 routine over pseudo-header + segment, the checksum field zeroed
-// in a copy. BuildUDPFrame/BuildTCPFrame and in-place verification must
+// in a copy. AppendUDPFrame/AppendTCPFrame and in-place verification must
 // match it byte for byte and verdict for verdict.
 
 func refL4Checksum(src, dst IP, proto uint8, seg []byte, ckOff int) uint16 {
@@ -95,9 +95,9 @@ func TestFramesMatchReferenceConstruction(t *testing.T) {
 			proto     uint8
 			got, want []byte
 		}{
-			{ProtoUDP, BuildUDPFrame(srcMAC, dstMAC, srcIP, dstIP, sport, dport, payload),
+			{ProtoUDP, AppendUDPFrame(nil, srcMAC, dstMAC, srcIP, dstIP, sport, dport, payload),
 				refUDPFrame(srcMAC, dstMAC, srcIP, dstIP, sport, dport, payload)},
-			{ProtoTCP, BuildTCPFrame(srcMAC, dstMAC, srcIP, dstIP, th, payload),
+			{ProtoTCP, AppendTCPFrame(nil, srcMAC, dstMAC, srcIP, dstIP, th, payload),
 				refTCPFrame(srcMAC, dstMAC, srcIP, dstIP, th, payload)},
 		}
 		for _, f := range frames {
@@ -139,8 +139,8 @@ func TestFramesMatchReferenceConstruction(t *testing.T) {
 // in place.
 func TestParseVerifyAllocatesNothing(t *testing.T) {
 	src, dst := IP{10, 0, 0, 1}, IP{10, 0, 0, 2}
-	udp := BuildUDPFrame(MAC{1}, MAC{2}, src, dst, 5000, 6000, []byte("odd-length"))[EthHeaderLen+IPv4HeaderLen:]
-	tcp := BuildTCPFrame(MAC{1}, MAC{2}, src, dst, TCPHeader{SrcPort: 1, DstPort: 2}, []byte("x"))[EthHeaderLen+IPv4HeaderLen:]
+	udp := AppendUDPFrame(nil, MAC{1}, MAC{2}, src, dst, 5000, 6000, []byte("odd-length"))[EthHeaderLen+IPv4HeaderLen:]
+	tcp := AppendTCPFrame(nil, MAC{1}, MAC{2}, src, dst, TCPHeader{SrcPort: 1, DstPort: 2}, []byte("x"))[EthHeaderLen+IPv4HeaderLen:]
 	if a := testing.AllocsPerRun(100, func() {
 		if _, _, err := ParseUDP(src, dst, udp, true); err != nil {
 			t.Fatal(err)

@@ -29,7 +29,7 @@ func (d *loopDev) StartXmit(f []byte) error {
 	if d.failXmit {
 		return ErrQueueStopped
 	}
-	d.tx = append(d.tx, f)
+	d.tx = append(d.tx, bytes.Clone(f))
 	return nil
 }
 func (d *loopDev) DoIoctl(cmd uint32, arg []byte) ([]byte, error) {
@@ -92,7 +92,7 @@ func TestIPv4RoundTripAndCorruption(t *testing.T) {
 
 func TestUDPFrameRoundTrip(t *testing.T) {
 	payload := []byte("netperf request")
-	frame := BuildUDPFrame(macA, macB, ipA, ipB, 5001, 7, payload)
+	frame := AppendUDPFrame(nil, macA, macB, ipA, ipB, 5001, 7, payload)
 	_, ipPkt, err := ParseEth(frame)
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +120,7 @@ func TestUDPFrameRoundTrip(t *testing.T) {
 func TestTCPFrameRoundTrip(t *testing.T) {
 	h := TCPHeader{SrcPort: 33000, DstPort: 5201, Seq: 1000, Ack: 2000, Flags: TCPAck | TCPPsh, Window: 4096}
 	payload := bytes.Repeat([]byte{7}, 100)
-	frame := BuildTCPFrame(macA, macB, ipA, ipB, h, payload)
+	frame := AppendTCPFrame(nil, macA, macB, ipA, ipB, h, payload)
 	_, ipPkt, _ := ParseEth(frame)
 	ih, l4, err := ParseIPv4(ipPkt)
 	if err != nil {
@@ -145,7 +145,7 @@ func TestUDPSocketDelivery(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	frame := BuildUDPFrame(macB, macA, ipB, ipA, 777, 9000, []byte("hi"))
+	frame := AppendUDPFrame(nil, macB, macA, ipB, ipA, 777, 9000, []byte("hi"))
 	ifc.NetifRx(frame, 0)
 	if string(got) != "hi" || from != ipB {
 		t.Fatalf("got %q from %v", got, from)
@@ -157,7 +157,7 @@ func TestUDPSocketDelivery(t *testing.T) {
 
 func TestUDPUnboundPortDrops(t *testing.T) {
 	s, ifc, _ := newStack(t)
-	ifc.NetifRx(BuildUDPFrame(macB, macA, ipB, ipA, 777, 9999, []byte("x")), 0)
+	ifc.NetifRx(AppendUDPFrame(nil, macB, macA, ipB, ipA, 777, 9999, []byte("x")), 0)
 	if s.RxDrops != 1 {
 		t.Fatal("datagram to unbound port not dropped")
 	}
@@ -239,7 +239,7 @@ func (d *mqDev) StartXmitQ(f []byte, q int) error {
 	if d.txq == nil {
 		d.txq = map[int][][]byte{}
 	}
-	d.txq[q] = append(d.txq[q], f)
+	d.txq[q] = append(d.txq[q], bytes.Clone(f))
 	return nil
 }
 
@@ -309,7 +309,7 @@ func TestPerQueueTxStopIsolation(t *testing.T) {
 		t.Fatalf("per-queue tx counters: q0=%d q1=%d", ifc.Queue(0).TxFrames, ifc.Queue(1).TxFrames)
 	}
 	// Per-queue RX contexts count tagged deliveries.
-	ifc.NetifRx(BuildUDPFrame(macB, macA, ipB, ipA, 1, 9999, []byte("x")), 1)
+	ifc.NetifRx(AppendUDPFrame(nil, macB, macA, ipB, ipA, 1, 9999, []byte("x")), 1)
 	if ifc.Queue(1).RxFrames != 1 {
 		t.Fatal("tagged RX not counted on its queue context")
 	}
@@ -341,8 +341,8 @@ func TestFirewallDropsAndTOCTOUSurface(t *testing.T) {
 	if _, err := s.UDPBind(7777, func([]byte, IP, uint16) { delivered++ }); err != nil {
 		t.Fatal(err)
 	}
-	ifc.NetifRx(BuildUDPFrame(macB, macA, ipB, ipA, 1, 6666, []byte("evil")), 0)
-	ifc.NetifRx(BuildUDPFrame(macB, macA, ipB, ipA, 1, 7777, []byte("ok")), 0)
+	ifc.NetifRx(AppendUDPFrame(nil, macB, macA, ipB, ipA, 1, 6666, []byte("evil")), 0)
+	ifc.NetifRx(AppendUDPFrame(nil, macB, macA, ipB, ipA, 1, 7777, []byte("ok")), 0)
 	if delivered != 1 || s.FirewallDrops != 1 || inspected != 2 {
 		t.Fatalf("delivered=%d drops=%d inspected=%d", delivered, s.FirewallDrops, inspected)
 	}
@@ -355,19 +355,19 @@ func TestTCPReceiverStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	// SYN.
-	syn := BuildTCPFrame(macB, macA, ipB, ipA, TCPHeader{SrcPort: 40000, DstPort: 5201, Seq: 99, Flags: TCPSyn}, nil)
+	syn := AppendTCPFrame(nil, macB, macA, ipB, ipA, TCPHeader{SrcPort: 40000, DstPort: 5201, Seq: 99, Flags: TCPSyn}, nil)
 	ifc.NetifRx(syn, 0)
 	if len(dev.tx) != 1 {
 		t.Fatal("no SYN ack")
 	}
 	// Two in-order segments: delayed ACK fires on the second.
 	seq := uint32(100)
-	seg1 := BuildTCPFrame(macB, macA, ipB, ipA, TCPHeader{SrcPort: 40000, DstPort: 5201, Seq: seq, Flags: TCPAck}, bytes.Repeat([]byte{1}, 1000))
+	seg1 := AppendTCPFrame(nil, macB, macA, ipB, ipA, TCPHeader{SrcPort: 40000, DstPort: 5201, Seq: seq, Flags: TCPAck}, bytes.Repeat([]byte{1}, 1000))
 	ifc.NetifRx(seg1, 0)
 	if len(dev.tx) != 1 {
 		t.Fatal("premature ACK before delayed-ack threshold")
 	}
-	seg2 := BuildTCPFrame(macB, macA, ipB, ipA, TCPHeader{SrcPort: 40000, DstPort: 5201, Seq: seq + 1000, Flags: TCPAck}, bytes.Repeat([]byte{2}, 1000))
+	seg2 := AppendTCPFrame(nil, macB, macA, ipB, ipA, TCPHeader{SrcPort: 40000, DstPort: 5201, Seq: seq + 1000, Flags: TCPAck}, bytes.Repeat([]byte{2}, 1000))
 	ifc.NetifRx(seg2, 0)
 	if len(dev.tx) != 2 {
 		t.Fatalf("expected delayed ACK after 2 segments, tx=%d", len(dev.tx))
@@ -390,9 +390,9 @@ func TestTCPOutOfOrderReAcks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ifc.NetifRx(BuildTCPFrame(macB, macA, ipB, ipA, TCPHeader{SrcPort: 1, DstPort: 5201, Seq: 0, Flags: TCPSyn}, nil), 0)
+	ifc.NetifRx(AppendTCPFrame(nil, macB, macA, ipB, ipA, TCPHeader{SrcPort: 1, DstPort: 5201, Seq: 0, Flags: TCPSyn}, nil), 0)
 	// Skip ahead: out of order.
-	ifc.NetifRx(BuildTCPFrame(macB, macA, ipB, ipA, TCPHeader{SrcPort: 1, DstPort: 5201, Seq: 5000, Flags: TCPAck}, []byte{1}), 0)
+	ifc.NetifRx(AppendTCPFrame(nil, macB, macA, ipB, ipA, TCPHeader{SrcPort: 1, DstPort: 5201, Seq: 5000, Flags: TCPAck}, []byte{1}), 0)
 	if r.OutOfOrder != 1 {
 		t.Fatal("out-of-order segment not detected")
 	}
@@ -438,7 +438,7 @@ func TestUDPRoundTripProperty(t *testing.T) {
 		if len(payload) > 1400 {
 			payload = payload[:1400]
 		}
-		frame := BuildUDPFrame(macA, macB, ipA, ipB, sport, dport, payload)
+		frame := AppendUDPFrame(nil, macA, macB, ipA, ipB, sport, dport, payload)
 		_, ipPkt, err := ParseEth(frame)
 		if err != nil {
 			return false

@@ -8,6 +8,7 @@ package netstack
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // MAC is an Ethernet address.
@@ -34,6 +35,15 @@ const (
 	IPv4HeaderLen = 20
 	UDPHeaderLen  = 8
 	TCPHeaderLen  = 20
+
+	// MTU is the interfaces' IP MTU, standard Ethernet's.
+	MTU = 1500
+	// MaxFrameLen is the largest frame the stack builds: one MTU behind
+	// the MAC header.
+	MaxFrameLen = EthHeaderLen + MTU
+	// MaxUDPPayload is the largest datagram payload one frame carries; the
+	// stack does not fragment.
+	MaxUDPPayload = MTU - IPv4HeaderLen - UDPHeaderLen
 )
 
 // TCP flags.
@@ -265,27 +275,28 @@ func ParseTCP(src, dstIP IP, seg []byte, verify bool) (TCPHeader, []byte, error)
 	}, seg[dataOff:], nil
 }
 
-// BuildUDPFrame assembles a complete Ethernet frame carrying a UDP datagram
-// in one buffer: the datagram length is known up front, so the IPv4 header
+// AppendUDPFrame appends a complete Ethernet frame carrying a UDP datagram
+// to dst and returns the extended slice; a caller that wants a fresh frame
+// passes nil. The datagram length is known up front, so the IPv4 header
 // goes first and the datagram is marshalled straight behind it.
-func BuildUDPFrame(srcMAC, dstMAC MAC, srcIP, dstIP IP, sport, dport uint16, payload []byte) []byte {
+func AppendUDPFrame(dst []byte, srcMAC, dstMAC MAC, srcIP, dstIP IP, sport, dport uint16, payload []byte) []byte {
 	l4len := UDPHeaderLen + len(payload)
-	frame := make([]byte, 0, EthHeaderLen+IPv4HeaderLen+l4len)
+	dst = slices.Grow(dst, EthHeaderLen+IPv4HeaderLen+l4len)
 	eh := EthHeader{Dst: dstMAC, Src: srcMAC, EtherType: EtherTypeIPv4}
-	frame = eh.Marshal(frame)
+	dst = eh.Marshal(dst)
 	ih := IPv4Header{Proto: ProtoUDP, TTL: 64, Src: srcIP, Dst: dstIP}
-	frame = ih.Marshal(frame, l4len)
-	return MarshalUDP(frame, srcIP, dstIP, UDPHeader{SrcPort: sport, DstPort: dport}, payload)
+	dst = ih.Marshal(dst, l4len)
+	return MarshalUDP(dst, srcIP, dstIP, UDPHeader{SrcPort: sport, DstPort: dport}, payload)
 }
 
-// BuildTCPFrame assembles a complete Ethernet frame carrying a TCP segment,
-// in one buffer like BuildUDPFrame.
-func BuildTCPFrame(srcMAC, dstMAC MAC, srcIP, dstIP IP, h TCPHeader, payload []byte) []byte {
+// AppendTCPFrame appends a complete Ethernet frame carrying a TCP segment
+// to dst, like AppendUDPFrame.
+func AppendTCPFrame(dst []byte, srcMAC, dstMAC MAC, srcIP, dstIP IP, h TCPHeader, payload []byte) []byte {
 	l4len := TCPHeaderLen + len(payload)
-	frame := make([]byte, 0, EthHeaderLen+IPv4HeaderLen+l4len)
+	dst = slices.Grow(dst, EthHeaderLen+IPv4HeaderLen+l4len)
 	eh := EthHeader{Dst: dstMAC, Src: srcMAC, EtherType: EtherTypeIPv4}
-	frame = eh.Marshal(frame)
+	dst = eh.Marshal(dst)
 	ih := IPv4Header{Proto: ProtoTCP, TTL: 64, Src: srcIP, Dst: dstIP}
-	frame = ih.Marshal(frame, l4len)
-	return MarshalTCP(frame, srcIP, dstIP, h, payload)
+	dst = ih.Marshal(dst, l4len)
+	return MarshalTCP(dst, srcIP, dstIP, h, payload)
 }

@@ -105,7 +105,7 @@ func (r *TCPReceiver) segment(ifc *Iface, eh EthHeader, ih IPv4Header, th TCPHea
 
 func (r *TCPReceiver) sendAck(ifc *Iface, eh EthHeader, ih IPv4Header, th TCPHeader) {
 	s := ifc.stack
-	ack := BuildTCPFrame(ifc.MAC, eh.Src, ih.Dst, ih.Src, TCPHeader{
+	ack := AppendTCPFrame(s.txBufs.Get(0), ifc.MAC, eh.Src, ih.Dst, ih.Src, TCPHeader{
 		SrcPort: th.DstPort,
 		DstPort: th.SrcPort,
 		Seq:     0,
@@ -117,4 +117,5 @@ func (r *TCPReceiver) sendAck(ifc *Iface, eh EthHeader, ih IPv4Header, th TCPHea
 	if err := s.xmit(ifc, ack); err != nil {
 		s.TxErrors++
 	}
+	s.txBufs.Put(ack)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"sud/internal/drivers/api"
+	"sud/internal/fifo"
 	"sud/internal/kernel/shadow"
 	"sud/internal/sim"
 	"sud/internal/trace"
@@ -50,6 +51,13 @@ type Stack struct {
 	// Like a socket payload, frame is valid only during the call.
 	Firewall func(frame []byte) bool
 
+	// txBufs holds the MaxFrameLen-byte buffers outgoing frames are built
+	// in. A frame handed to the driver is valid only during the call, so
+	// its buffer comes back when the call returns; a send made from
+	// inside the driver call (a queue wake's hook) takes a buffer of its
+	// own.
+	txBufs *fifo.Buffers
+
 	// Counters.
 	RxFrames, RxDrops  uint64
 	TxFrames, TxErrors uint64
@@ -66,6 +74,7 @@ func New(loop *sim.Loop, acct *sim.CPUAccount) *Stack {
 		tcp:      make(map[uint16]*TCPReceiver),
 		adopting: make(map[string]*Iface),
 		standbys: make(map[string]api.NetDevice),
+		txBufs:   fifo.NewBuffers(MaxFrameLen),
 	}
 }
 
@@ -514,9 +523,10 @@ func (ifc *Iface) Ioctl(cmd uint32, arg []byte) ([]byte, error) {
 // --- api.NetKernel (driver → kernel) ---------------------------------------
 
 // NetifRx implements api.NetKernel: the trusted-path packet input, tagged
-// with the RX queue the frame arrived on. The in-kernel driver hands a frame
-// it fully owns; the stack verifies transport checksums itself, and delivery
-// is accounted to the queue's context.
+// with the RX queue the frame arrived on. The in-kernel driver hands a view
+// of its RX buffer, valid only during the call; the stack verifies
+// transport checksums itself, and delivery is accounted to the queue's
+// context.
 func (ifc *Iface) NetifRx(frame []byte, q int) {
 	qc := &ifc.queues[ifc.clampQ(q)]
 	if qc.recovering {
@@ -688,13 +698,6 @@ func (s *Stack) xmitQ(ifc *Iface, frame []byte, q int) error {
 		return ErrQueueStopped
 	}
 	s.Acct.Charge(CostTxPath)
-	// Shadow the frame before the driver takes ownership of the slice: a
-	// supervised driver may die holding it, and the log entry is what the
-	// recovery replays. Committed only if the driver accepts the frame.
-	var logged []byte
-	if ifc.Shadow != nil {
-		logged = append([]byte(nil), frame...)
-	}
 	var err error
 	if ifc.mqdev != nil {
 		err = ifc.mqdev.StartXmitQ(frame, q)
@@ -709,20 +712,25 @@ func (s *Stack) xmitQ(ifc *Iface, frame []byte, q int) error {
 		return fmt.Errorf("%w: %v", ErrQueueStopped, err)
 	}
 	if ifc.Shadow != nil {
-		ifc.Shadow.RecordXmit(q, logged)
+		// A supervised driver may die before the frame's credit returns;
+		// the shadow's copy is what the recovery then replays.
+		ifc.Shadow.RecordXmit(q, frame)
 	}
 	qc.TxFrames++
 	s.TxFrames++
 	return nil
 }
 
-// UDPSendTo builds and transmits a UDP datagram. dstMAC stands in for ARP
-// resolution (the benchmark LAN has static neighbours).
+// ErrMsgSize is returned for a datagram whose payload exceeds
+// MaxUDPPayload: it would not fit one frame, and the stack does not
+// fragment.
+var ErrMsgSize = fmt.Errorf("netstack: UDP payload exceeds the MTU")
+
+// UDPSendTo builds and transmits a UDP datagram on the flow's TX queue.
+// dstMAC stands in for ARP resolution (the benchmark LAN has static
+// neighbours).
 func (s *Stack) UDPSendTo(ifc *Iface, dstMAC MAC, dstIP IP, sport, dport uint16, payload []byte) error {
-	// Header construction + payload checksum+copy into the skb.
-	s.Acct.Charge(sim.ChecksumCopy(len(payload)))
-	frame := BuildUDPFrame(ifc.MAC, dstMAC, ifc.IP, dstIP, sport, dport, payload)
-	return s.xmit(ifc, frame)
+	return s.UDPSendToQ(ifc, dstMAC, dstIP, sport, dport, payload, TxQueueForPorts(sport, dport, len(ifc.queues)))
 }
 
 // UDPSendToQ is UDPSendTo with the TX queue pinned by the caller rather than
@@ -730,9 +738,15 @@ func (s *Stack) UDPSendTo(ifc *Iface, dstMAC MAC, dstIP IP, sport, dport uint16,
 // mirroring blockdev's ReadAtQ/WriteAtQ. The tenant plane uses it to keep a
 // tenant's replies on the tenant's own driver queue even when the reply
 // flow's hash would land elsewhere, so per-queue confinement stays a tenant
-// isolation boundary in both directions.
+// isolation boundary in both directions. A payload over MaxUDPPayload fails
+// with ErrMsgSize before anything is built or charged.
 func (s *Stack) UDPSendToQ(ifc *Iface, dstMAC MAC, dstIP IP, sport, dport uint16, payload []byte, q int) error {
+	if len(payload) > MaxUDPPayload {
+		return ErrMsgSize
+	}
+	// Header construction + payload checksum+copy into the skb.
 	s.Acct.Charge(sim.ChecksumCopy(len(payload)))
-	frame := BuildUDPFrame(ifc.MAC, dstMAC, ifc.IP, dstIP, sport, dport, payload)
+	frame := AppendUDPFrame(s.txBufs.Get(0), ifc.MAC, dstMAC, ifc.IP, dstIP, sport, dport, payload)
+	defer s.txBufs.Put(frame)
 	return s.xmitQ(ifc, frame, q)
 }

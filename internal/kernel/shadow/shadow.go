@@ -39,7 +39,10 @@
 package shadow
 
 import (
+	"bytes"
+
 	"sud/internal/drivers/api"
+	"sud/internal/fifo"
 )
 
 // PendingBlock is one logged in-flight block request: the queue it was
@@ -175,11 +178,11 @@ type Net struct {
 	// Snapshots counts BeginRecovery captures (one per death).
 	Snapshots uint64
 
-	// txLog is the per-queue FIFO of unconfirmed transmitted frames. Entries
-	// are appended by RecordXmit when the netstack hands a frame to the
-	// driver and removed — oldest first, matching the driver's in-order ring
-	// reclaim — by ConfirmXmit when the xmit-done credit returns.
-	txLog [][][]byte
+	// txLog is the per-queue FIFO of unconfirmed transmitted frames. Frames
+	// are copied in by RecordXmit once the driver accepted them and popped
+	// — oldest first, matching the driver's in-order ring reclaim — by
+	// ConfirmXmit when the xmit-done credit returns.
+	txLog []fifo.Bytes
 
 	// TxLogged / TxConfirmed / TxReplayed / TxOverflow count log appends,
 	// credit-confirmed removals, frames re-submitted by recoveries, and
@@ -197,50 +200,52 @@ func (s *Net) queueLog(q int) int {
 		q = 0
 	}
 	for len(s.txLog) <= q {
-		s.txLog = append(s.txLog, nil)
+		s.txLog = append(s.txLog, fifo.Bytes{})
 	}
 	return q
 }
 
-// RecordXmit logs one frame handed to the driver on queue q. The log takes
-// ownership of the slice: callers pass a private copy taken before the
-// driver (which owns the original after StartXmit) could touch it, so the
-// entry outlives a driver that dies holding the frame.
+// RecordXmit logs one frame the driver accepted on queue q. The log copies
+// the frame — the caller reuses its buffer once StartXmit returns — so the
+// entry outlives a driver that dies before confirming it.
 func (s *Net) RecordXmit(q int, frame []byte) {
-	q = s.queueLog(q)
-	if len(s.txLog[q]) >= TxLogCap {
-		s.txLog[q] = s.txLog[q][1:]
+	log := &s.txLog[s.queueLog(q)]
+	if log.Len() >= TxLogCap {
+		log.Pop()
 		s.TxOverflow++
 	}
-	s.txLog[q] = append(s.txLog[q], frame)
+	log.Push(frame)
 	s.TxLogged++
 }
 
 // ConfirmXmit erases queue q's oldest unconfirmed frame: its xmit-done
 // credit arrived, so the frame left the device and must not be replayed.
 func (s *Net) ConfirmXmit(q int) {
-	q = s.queueLog(q)
-	if len(s.txLog[q]) == 0 {
+	log := &s.txLog[s.queueLog(q)]
+	if log.Len() == 0 {
 		return
 	}
-	s.txLog[q] = s.txLog[q][1:]
+	log.Pop()
 	s.TxConfirmed++
 }
 
 // PendingTx reports queue q's unconfirmed-frame count.
 func (s *Net) PendingTx(q int) int {
-	return len(s.txLog[s.queueLog(q)])
+	return s.txLog[s.queueLog(q)].Len()
 }
 
-// TakePendingTx consumes and returns queue q's unconfirmed frames in
-// original submission order — the replay schedule. Unlike the block log
+// TakePendingTx consumes and returns copies of queue q's unconfirmed frames
+// in original submission order — the replay schedule. Unlike the block log
 // (keyed by tag, erased on completion), replayed frames re-enter the log
 // through the normal RecordXmit path as the recovery re-submits them, so
 // the entries must leave it first.
 func (s *Net) TakePendingTx(q int) [][]byte {
-	q = s.queueLog(q)
-	out := s.txLog[q]
-	s.txLog[q] = nil
+	log := &s.txLog[s.queueLog(q)]
+	var out [][]byte
+	for log.Len() > 0 {
+		out = append(out, bytes.Clone(log.Peek()))
+		log.Pop()
+	}
 	return out
 }
 

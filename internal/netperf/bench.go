@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"sud/internal/fifo"
 	"sud/internal/kernel/netstack"
 	"sud/internal/sim"
 )
@@ -213,16 +214,9 @@ func UDPStreamRX(tb *Testbed, opt Options) (Result, error) {
 // UDPRR measures request/response transactions per second with 64-byte
 // payloads — the latency-bound worst case for SUD (§5.1).
 func UDPRR(tb *Testbed, opt Options) (Result, error) {
-	_, err := tb.K.Net.UDPBind(PortRR, func(p []byte, srcIP netstack.IP, srcPort uint16) {
-		// netserver wakes from recv, processes, and echoes.
-		reply := make([]byte, len(p))
-		copy(reply, p)
-		tb.M.Loop.After(appWakeLatency, func() {
-			tb.K.Acct.Charge(sim.CostProcessWakeup)
-			tb.K.Acct.Charge(costAppSend)
-			_ = tb.K.Net.UDPSendTo(tb.Ifc, RemoteMAC, srcIP, PortRR, srcPort, reply)
-		})
-	})
+	srv := &echoServer{tb: tb}
+	srv.echoFn = srv.echo
+	_, err := tb.K.Net.UDPBind(PortRR, srv.recv)
 	if err != nil {
 		return Result{}, err
 	}
@@ -236,4 +230,36 @@ func UDPRR(tb *Testbed, opt Options) (Result, error) {
 		return float64(tb.Remote.RRCount-before) / w.Seconds()
 	})
 	return Result{Benchmark: "UDP_RR", Mode: tb.Mode, Value: mean, Unit: "Tx/s", CPU: cpu, Windows: n, CIRel: ci}, nil
+}
+
+// echoServer is UDP_RR's netserver: it wakes from recv and echoes each
+// datagram to its sender. Every echo fires appWakeLatency after its
+// datagram arrived, so echoes fire in arrival order and the arrivals wait
+// in FIFOs behind one bound callback.
+type echoServer struct {
+	tb       *Testbed
+	payloads fifo.Bytes
+	srcs     fifo.Queue[echoSrc]
+	echoFn   func() // echo, bound once
+}
+
+// echoSrc is where an arrival came from.
+type echoSrc struct {
+	ip   netstack.IP
+	port uint16
+}
+
+func (e *echoServer) recv(p []byte, srcIP netstack.IP, srcPort uint16) {
+	e.payloads.Push(p)
+	e.srcs.Push(echoSrc{srcIP, srcPort})
+	e.tb.M.Loop.After(appWakeLatency, e.echoFn)
+}
+
+func (e *echoServer) echo() {
+	tb := e.tb
+	src := e.srcs.Pop()
+	tb.K.Acct.Charge(sim.CostProcessWakeup)
+	tb.K.Acct.Charge(costAppSend)
+	_ = tb.K.Net.UDPSendTo(tb.Ifc, RemoteMAC, src.ip, PortRR, src.port, e.payloads.Peek())
+	e.payloads.Pop()
 }

@@ -1,10 +1,12 @@
 package netperf
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	"sud/internal/hw"
+	"sud/internal/kernel/netstack"
 	"sud/internal/sim"
 )
 
@@ -205,5 +207,35 @@ func TestFloodOfferedRateHonored(t *testing.T) {
 	// 100 Kpps for 50 ms ≈ 5000 frames (±1 tick).
 	if tb.Remote.FloodSent < 4990 || tb.Remote.FloodSent > 5010 {
 		t.Fatalf("flood sent %d frames, want ~5000", tb.Remote.FloodSent)
+	}
+}
+
+// TestOversizedDatagramLeavesQueueRunning: in both modes, a datagram too big
+// for one frame fails with netstack.ErrMsgSize before the driver sees it,
+// and later datagrams still reach the remote sink — the largest that fits
+// as a full-size frame. The driver used to refuse the frame, which stopped
+// the TX queue with no wake ever to come.
+func TestOversizedDatagramLeavesQueueRunning(t *testing.T) {
+	for _, mode := range []Mode{ModeKernel, ModeSUD} {
+		t.Run(mode.String(), func(t *testing.T) {
+			tb := bed(t, mode)
+			send := func(n int) error {
+				return tb.K.Net.UDPSendTo(tb.Ifc, RemoteMAC, RemoteIP, 50000, PortSink, make([]byte, n))
+			}
+			for _, n := range []int{3000, 1600, netstack.MaxUDPPayload + 1} {
+				if err := send(n); !errors.Is(err, netstack.ErrMsgSize) {
+					t.Fatalf("%d-byte payload: err = %v, want ErrMsgSize", n, err)
+				}
+			}
+			for _, n := range []int{netstack.MaxUDPPayload, 64} {
+				if err := send(n); err != nil {
+					t.Fatalf("%d-byte send after the rejects: %v", n, err)
+				}
+			}
+			tb.M.Loop.RunFor(sim.Millisecond)
+			if tb.Remote.SinkPkts != 2 || tb.Remote.SinkBytes != netstack.MaxUDPPayload+64 {
+				t.Fatalf("sink got %d datagrams, %d bytes; want 2, %d", tb.Remote.SinkPkts, tb.Remote.SinkBytes, netstack.MaxUDPPayload+64)
+			}
+		})
 	}
 }

@@ -52,10 +52,15 @@ type RemoteHost struct {
 	// lands near the paper's 9590 transactions/s.
 	Turnaround sim.Duration
 
+	// frame is the buffer every generator builds its next frame in; the
+	// link copies what it sends, so one buffer serves them all.
+	frame []byte
+
 	// --- UDP_RR client state ---
-	rrActive  bool
-	rrPayload int
-	RRCount   uint64 // completed transactions
+	rrActive bool
+	rrReq    []byte // the request payload; its first 8 bytes carry RRCount
+	rrFn     func() // sendRRRequest, bound once
+	RRCount  uint64 // completed transactions
 
 	// --- UDP sink (DUT transmit test) ---
 	SinkPkts  uint64
@@ -77,6 +82,7 @@ type RemoteHost struct {
 	DropNextSegment bool
 	tcpSeq          uint32 // next unsent byte
 	tcpBase         uint32 // oldest unacked byte
+	tcpPayload      []byte // a segment's payload; its first 4 bytes carry the sequence number
 	lastAck         uint32
 	dupAcks         int
 	TCPAcked        uint64
@@ -85,7 +91,22 @@ type RemoteHost struct {
 
 // NewRemote attaches a remote host to side `side` of link.
 func NewRemote(loop *sim.Loop, link *ethlink.Link, side int) *RemoteHost {
-	return &RemoteHost{loop: loop, link: link, side: side, Turnaround: 99 * sim.Microsecond}
+	r := &RemoteHost{loop: loop, link: link, side: side, Turnaround: 99 * sim.Microsecond}
+	r.rrFn = r.sendRRRequest
+	return r
+}
+
+// sendUDP builds a datagram to the DUT in the host's frame buffer and puts
+// it on the wire.
+func (r *RemoteHost) sendUDP(sport, dport uint16, payload []byte) error {
+	r.frame = netstack.AppendUDPFrame(r.frame[:0], RemoteMAC, DUTMAC, RemoteIP, DUTIP, sport, dport, payload)
+	return r.link.Send(r.side, r.frame)
+}
+
+// sendTCP is sendUDP for a TCP segment.
+func (r *RemoteHost) sendTCP(h netstack.TCPHeader, payload []byte) error {
+	r.frame = netstack.AppendTCPFrame(r.frame[:0], RemoteMAC, DUTMAC, RemoteIP, DUTIP, h, payload)
+	return r.link.Send(r.side, r.frame)
 }
 
 // LinkDeliver implements ethlink.Endpoint.
@@ -121,7 +142,7 @@ func (r *RemoteHost) udp(ih netstack.IPv4Header, uh netstack.UDPHeader, payload 
 		// request after client processing time.
 		if r.rrActive {
 			r.RRCount++
-			r.loop.After(r.Turnaround, r.sendRRRequest)
+			r.loop.After(r.Turnaround, r.rrFn)
 		}
 	case PortSink:
 		r.SinkPkts++
@@ -129,7 +150,7 @@ func (r *RemoteHost) udp(ih netstack.IPv4Header, uh netstack.UDPHeader, payload 
 	case PortRR:
 		// Generic echo service (the DUT acting as client, e.g. the
 		// quickstart example).
-		reply := netstack.BuildUDPFrame(RemoteMAC, DUTMAC, ih.Dst, ih.Src, PortRR, uh.SrcPort, payload)
+		reply := netstack.AppendUDPFrame(nil, RemoteMAC, DUTMAC, ih.Dst, ih.Src, PortRR, uh.SrcPort, payload)
 		r.loop.After(r.Turnaround, func() { _ = r.link.Send(r.side, reply) })
 	}
 }
@@ -140,7 +161,7 @@ func (r *RemoteHost) udp(ih netstack.IPv4Header, uh netstack.UDPHeader, payload 
 // (64 bytes in Figure 8).
 func (r *RemoteHost) StartRR(payload int) {
 	r.rrActive = true
-	r.rrPayload = payload
+	r.rrReq = make([]byte, payload)
 	r.sendRRRequest()
 }
 
@@ -151,10 +172,8 @@ func (r *RemoteHost) sendRRRequest() {
 	if !r.rrActive {
 		return
 	}
-	req := make([]byte, r.rrPayload)
-	binary.BigEndian.PutUint64(req, r.RRCount)
-	f := netstack.BuildUDPFrame(RemoteMAC, DUTMAC, RemoteIP, DUTIP, remotePrt, PortRR, req)
-	_ = r.link.Send(r.side, f)
+	binary.BigEndian.PutUint64(r.rrReq, r.RRCount)
+	_ = r.sendUDP(remotePrt, PortRR, r.rrReq)
 }
 
 // --- UDP flood (DUT receive test) ----------------------------------------------
@@ -172,8 +191,7 @@ func (r *RemoteHost) StartFlood(payload int, pps int) {
 			return
 		}
 		binary.BigEndian.PutUint64(buf, r.FloodSent)
-		f := netstack.BuildUDPFrame(RemoteMAC, DUTMAC, RemoteIP, DUTIP, remotePrt, PortFlood, buf)
-		if r.link.Send(r.side, f) == nil {
+		if r.sendUDP(remotePrt, PortFlood, buf) == nil {
 			r.FloodSent++
 		}
 		r.loop.After(r.floodEvery, tick)
@@ -201,8 +219,7 @@ func (r *RemoteHost) StartFloodFlows(payload, ppsPerFlow, flows int, baseSport, 
 				return
 			}
 			binary.BigEndian.PutUint64(buf, r.FlowsSent)
-			f := netstack.BuildUDPFrame(RemoteMAC, DUTMAC, RemoteIP, DUTIP, sport, dport, buf)
-			if r.link.Send(r.side, f) == nil {
+			if r.sendUDP(sport, dport, buf) == nil {
 				r.FlowsSent++
 			}
 			r.loop.After(every, tick)
@@ -222,10 +239,10 @@ func (r *RemoteHost) StartTCP() {
 	r.tcpActive = true
 	r.tcpSeq = 1 // byte 0 is the SYN
 	r.tcpBase = 1
-	syn := netstack.BuildTCPFrame(RemoteMAC, DUTMAC, RemoteIP, DUTIP, netstack.TCPHeader{
+	r.tcpPayload = make([]byte, MSS)
+	_ = r.sendTCP(netstack.TCPHeader{
 		SrcPort: remotePrt, DstPort: PortStream, Seq: 0, Flags: netstack.TCPSyn, Window: 0xFFFF,
 	}, nil)
-	_ = r.link.Send(r.side, syn)
 	// Data flows once the SYN is acked (tcpAck pumps).
 }
 
@@ -263,13 +280,11 @@ func (r *RemoteHost) pump() {
 			r.tcpSeq += MSS
 			continue
 		}
-		payload := make([]byte, MSS)
-		binary.BigEndian.PutUint32(payload, r.tcpSeq)
-		seg := netstack.BuildTCPFrame(RemoteMAC, DUTMAC, RemoteIP, DUTIP, netstack.TCPHeader{
+		binary.BigEndian.PutUint32(r.tcpPayload, r.tcpSeq)
+		if err := r.sendTCP(netstack.TCPHeader{
 			SrcPort: remotePrt, DstPort: PortStream, Seq: r.tcpSeq,
 			Flags: netstack.TCPAck, Window: 0xFFFF,
-		}, payload)
-		if err := r.link.Send(r.side, seg); err != nil {
+		}, r.tcpPayload); err != nil {
 			// Sender FIFO full: back off one segment; ACK clocking
 			// retries.
 			return

@@ -77,3 +77,33 @@ func TestChildSwitchTLPAllocatesNothing(t *testing.T) {
 		t.Fatal("source validation dropped a genuine requester")
 	}
 }
+
+// TestRaiseMSIAllocatesNothing: the message travels the fabric from the
+// function's own buffer.
+func TestRaiseMSIAllocatesNothing(t *testing.T) {
+	m := mem.New()
+	m.AllocPage(0xFEE00000)
+	sw := NewSwitch("sw0", ACS{})
+	d := newFakeDev(MakeBDF(1, 0, 0), 0xFEB00000)
+	sw.AttachDevice(d)
+	NewRootComplex(sw, quietHandler{m})
+	off := d.Config().MSICapOffset()
+	d.Config().Write(off+4, 4, 0xFEE00000)
+	d.Config().Write(off+8, 2, 0x4131)
+	d.Config().Write(off+2, 2, MSICtlEnable)
+	allocs := testing.AllocsPerRun(100, func() {
+		if !d.RaiseMSI() {
+			t.Fatal("enabled MSI did not fire")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("RaiseMSI allocates %.0f times, want 0", allocs)
+	}
+	got := make([]byte, 4)
+	if err := m.Read(0xFEE00000, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, []byte{0x31, 0x41, 0, 0}) {
+		t.Fatalf("MSI message % x", got)
+	}
+}

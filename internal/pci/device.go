@@ -33,6 +33,10 @@ type FuncBase struct {
 	bdf  BDF
 	cfg  *ConfigSpace
 	port Port
+	// msi holds RaiseMSI's message. One serves every message: whatever
+	// completes the write (the MSI controller, DRAM, a peer's register)
+	// consumes it before Upstream returns.
+	msi [4]byte
 }
 
 // InitFunc initialises the embedded base.
@@ -110,12 +114,12 @@ func (f *FuncBase) RaiseMSI() bool {
 	if !msi.Present || !msi.Enabled || msi.Masked || f.port == nil {
 		return false
 	}
-	data := []byte{byte(msi.Data), byte(msi.Data >> 8), 0, 0}
+	f.msi = [4]byte{byte(msi.Data), byte(msi.Data >> 8)}
 	c := f.port.Upstream(TLP{
 		Type:      MemWrite,
 		Requester: f.bdf,
 		Addr:      mem.Addr(msi.Address),
-		Data:      data,
+		Data:      f.msi[:],
 	})
 	return c.OK()
 }

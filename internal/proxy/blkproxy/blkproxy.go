@@ -28,9 +28,9 @@ import (
 	"strings"
 
 	"sud/internal/drivers/api"
+	"sud/internal/fifo"
 	"sud/internal/kernel/blockdev"
 	"sud/internal/mem"
-	"sud/internal/proxy/guard"
 	"sud/internal/proxy/pciaccess"
 	"sud/internal/proxy/protocol"
 	"sud/internal/sim"
@@ -126,7 +126,7 @@ type Proxy struct {
 
 	// guardBufs recycles the kernel buffers read payloads are guard-copied
 	// into; each returns when its Dev.Complete does.
-	guardBufs *guard.Buffers
+	guardBufs *fifo.Buffers
 
 	// pendingRecycle holds flipped pages (by IOVA) per queue awaiting the
 	// lazy recycle flush back to the driver.
@@ -222,7 +222,7 @@ func New(ki *KernelIface, df *pciaccess.DeviceFile, c *uchan.MultiChan, name str
 		QueueComps:     make([]uint64, q),
 		QueueBatches:   make([]uint64, q),
 		pendingRecycle: make([][]uint64, q),
-		guardBufs:      guard.NewBuffers(geom.BlockSize),
+		guardBufs:      fifo.NewBuffers(geom.BlockSize),
 	}
 	for i := 0; i < q; i++ {
 		// Queue i's slots belong to device I/O queue i+1: tagging the
@@ -272,7 +272,7 @@ func NewStandby(ki *KernelIface, df *pciaccess.DeviceFile, c *uchan.MultiChan, n
 		QueueComps:     make([]uint64, q),
 		QueueBatches:   make([]uint64, q),
 		pendingRecycle: make([][]uint64, q),
-		guardBufs:      guard.NewBuffers(geom.BlockSize),
+		guardBufs:      fifo.NewBuffers(geom.BlockSize),
 	}
 	for i := 0; i < q; i++ {
 		pool, err := df.AllocDMAQ(SlotsPerQueue*geom.BlockSize,

@@ -20,9 +20,9 @@ import (
 	"fmt"
 	"strings"
 
+	"sud/internal/fifo"
 	"sud/internal/kernel/netstack"
 	"sud/internal/mem"
-	"sud/internal/proxy/guard"
 	"sud/internal/proxy/pciaccess"
 	"sud/internal/proxy/protocol"
 	"sud/internal/sim"
@@ -129,7 +129,7 @@ type Proxy struct {
 
 	// guardBufs recycles the kernel buffers received frames are
 	// guard-copied into; each returns when its NetifRxVerified does.
-	guardBufs *guard.Buffers
+	guardBufs *fifo.Buffers
 
 	// Per-queue RX partitions: frames and batches delivered per ring.
 	RxQueueFrames  []uint64
@@ -204,7 +204,7 @@ func New(ki *KernelIface, df *pciaccess.DeviceFile, c *uchan.MultiChan, name str
 		RxQueueBatches: make([]uint64, q),
 		pendingRecycle: make([][]uint64, q),
 		lent:           make([]map[uint64]bool, q),
-		guardBufs:      guard.NewBuffers(maxFrame),
+		guardBufs:      fifo.NewBuffers(maxFrame),
 	}
 	for i := range p.lent {
 		p.lent[i] = make(map[uint64]bool)
@@ -248,7 +248,7 @@ func NewStandby(ki *KernelIface, df *pciaccess.DeviceFile, c *uchan.MultiChan, n
 		RxQueueBatches: make([]uint64, q),
 		pendingRecycle: make([][]uint64, q),
 		lent:           make([]map[uint64]bool, q),
-		guardBufs:      guard.NewBuffers(maxFrame),
+		guardBufs:      fifo.NewBuffers(maxFrame),
 	}
 	for i := range p.lent {
 		p.lent[i] = make(map[uint64]bool)

@@ -199,7 +199,7 @@ func TestBatchedRxDelivery(t *testing.T) {
 	if _, err := r.k.Net.UDPBind(80, func([]byte, netstack.IP, uint16) { delivered++ }); err != nil {
 		t.Fatal(err)
 	}
-	frame := netstack.BuildUDPFrame(netstack.MAC{9}, netstack.MAC(mac),
+	frame := netstack.AppendUDPFrame(nil, netstack.MAC{9}, netstack.MAC(mac),
 		netstack.IP{1}, netstack.IP{2}, 1, 80, []byte("ok"))
 	alloc := r.df.Allocs()[0]
 	r.m.Mem.MustWrite(alloc.Phys, frame)
@@ -275,7 +275,7 @@ func TestNetifRxValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Valid reference: a frame staged in the driver's own pool.
-	frame := netstack.BuildUDPFrame(netstack.MAC{9}, netstack.MAC(mac),
+	frame := netstack.AppendUDPFrame(nil, netstack.MAC{9}, netstack.MAC(mac),
 		netstack.IP{1}, netstack.IP{2}, 1, 80, []byte("ok"))
 	alloc := r.df.Allocs()[0]
 	r.m.Mem.MustWrite(alloc.Phys, frame)
@@ -314,7 +314,7 @@ func TestGuardCopyRxAllocatesNothing(t *testing.T) {
 	if _, err := r.k.Net.UDPBind(80, func([]byte, netstack.IP, uint16) { delivered++ }); err != nil {
 		t.Fatal(err)
 	}
-	frame := netstack.BuildUDPFrame(netstack.MAC{9}, netstack.MAC(mac),
+	frame := netstack.AppendUDPFrame(nil, netstack.MAC{9}, netstack.MAC(mac),
 		netstack.IP{1}, netstack.IP{2}, 1, 80, []byte("ok"))
 	alloc := r.df.Allocs()[0]
 	r.m.Mem.MustWrite(alloc.Phys, frame)
@@ -335,7 +335,7 @@ func TestNestedRxKeepsOuterPayload(t *testing.T) {
 	r := newRig(t)
 	alloc := r.df.Allocs()[0]
 	stage := func(off int, body string) uchan.Msg {
-		frame := netstack.BuildUDPFrame(netstack.MAC{9}, netstack.MAC(mac),
+		frame := netstack.AppendUDPFrame(nil, netstack.MAC{9}, netstack.MAC(mac),
 			netstack.IP{1}, netstack.IP{2}, 1, 80, []byte(body))
 		r.m.Mem.MustWrite(alloc.Phys+mem.Addr(off), frame)
 		return uchan.Msg{Op: OpNetifRx, Args: [6]uint64{uint64(alloc.IOVA) + uint64(off), uint64(len(frame))}}

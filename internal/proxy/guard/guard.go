@@ -5,9 +5,9 @@
 // CPU charging and uniform accounting, so ablations can compare guard bytes
 // across device classes instead of re-deriving each proxy's hand-rolled
 // copy. The Ethernet and block proxies keep their specialised fused and
-// page-flip guards, sharing only the recycled guard-copy Buffers — the rest
-// of this package is the plain leg the low-rate classes (wireless, audio)
-// share.
+// page-flip guards (their guard-copy buffers come from a fifo.Buffers free
+// list); this package is the plain leg the low-rate classes (wireless,
+// audio) share.
 package guard
 
 import "sud/internal/sim"
@@ -35,34 +35,6 @@ func CopyIn(acct *sim.CPUAccount, st *Stats, payload []byte) []byte {
 	copy(buf, payload)
 	return buf
 }
-
-// Buffers is a free list of the kernel buffers a proxy guard-copies
-// payloads into, all of one size. The proxy copies into Get's buffer,
-// delivers it, and Puts it back when the delivery returns: a delivered
-// payload is valid only inside its callback, and a delivery made from
-// inside that callback gets a buffer of its own, because the outer one is
-// not back yet.
-type Buffers struct {
-	size int
-	free [][]byte
-}
-
-// NewBuffers returns an empty free list of size-byte buffers.
-func NewBuffers(size int) *Buffers { return &Buffers{size: size} }
-
-// Get returns a buffer of n bytes, n at most the list's size: a recycled
-// one when any is free.
-func (b *Buffers) Get(n int) []byte {
-	if k := len(b.free); k > 0 {
-		buf := b.free[k-1]
-		b.free = b.free[:k-1]
-		return buf[:n]
-	}
-	return make([]byte, n, b.size)
-}
-
-// Put takes back a buffer from Get once the delivery that used it returned.
-func (b *Buffers) Put(buf []byte) { b.free = append(b.free, buf) }
 
 // VerifyInline charges the verification leg for n bytes that arrived inline
 // in a ring message — the transfer was the copy, so only the check remains —

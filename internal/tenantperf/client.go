@@ -163,7 +163,7 @@ func (cn *conn) issue() {
 	}
 	cn.inflight = req.ID
 	cn.firstSent = cn.c.loop.Now()
-	cn.lastReq = netstack.BuildUDPFrame([6]byte(CliMAC), [6]byte(SrvMAC), CliIP, SrvIP,
+	cn.lastReq = netstack.AppendUDPFrame(cn.lastReq[:0], [6]byte(CliMAC), [6]byte(SrvMAC), CliIP, SrvIP,
 		cn.sport, cn.t.Port, kvserve.EncodeRequest(req))
 	cn.t.Sent++
 	cn.xmit()
