@@ -169,7 +169,7 @@ func TestCachedWriteAllocatesNothingOnceFull(t *testing.T) {
 // its block into host memory and posts the CQE from the controller's own
 // buffers.
 func TestIOStepAllocatesNothing(t *testing.T) {
-	r, sqb, buf := mediaRig(t)
+	r, sqb, buf := mediaRig(t, DefaultParams())
 	const entries, burst = 16, 4
 	for slot := 0; slot < entries; slot++ {
 		sqe := make([]byte, SQESize)

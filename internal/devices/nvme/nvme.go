@@ -24,7 +24,10 @@
 //
 // Media is stored per logical block, and a block gets host memory on its
 // first write. A never-written LBA reads as zeros, as a deallocated LBA does
-// on real NVMe, so a device costs the host only the blocks a run writes.
+// on real NVMe, so a device costs the host only the blocks a run writes. The
+// index of block pointers is backed the same way, one chunk of chunkBlocks
+// LBAs at a time: a device boots with one pointer per chunk, and a chunk's
+// page of block pointers appears with the first write into it.
 package nvme
 
 import (
@@ -264,10 +267,10 @@ type Ctrl struct {
 	ready bool
 	tr    *trace.Tracer
 
-	// media holds, by LBA, every block ever written: by a direct write, a
-	// cache drain or SeedMedia. A nil entry has never been written and reads
-	// as zeroBlock.
-	media  []*[BlockSize]byte
+	// media holds, by LBA chunk, every block ever written: by a direct
+	// write, a cache drain or SeedMedia. A nil chunk or a nil block in one
+	// has never been written and reads as zeroBlock.
+	media  []*mediaChunk
 	blocks uint64
 
 	// Volatile write cache: dirty blocks not yet on media, plus their
@@ -342,7 +345,7 @@ func New(loop *sim.Loop, bdf pci.BDF, barBase uint64, p Params) *Ctrl {
 		params: p,
 		regs:   make(map[uint64]uint32),
 		blocks: p.Blocks,
-		media:  make([]*[BlockSize]byte, p.Blocks),
+		media:  make([]*mediaChunk, (p.Blocks+chunkBlocks-1)/chunkBlocks),
 		cache:  make(map[uint64][]byte),
 	}
 	cfg := pci.NewConfigSpace(VendorID, DeviceID, 0x01) // class = mass storage
@@ -397,24 +400,38 @@ func (c *Ctrl) PeekMedia(lba uint64) []byte {
 	return append([]byte(nil), c.readBlock(lba)...)
 }
 
+// chunkBlocks is how many LBAs one media chunk indexes: 512 block pointers
+// fill one 4-KiB page.
+const chunkBlocks = 512
+
+// mediaChunk indexes the blocks of LBAs [n*chunkBlocks, (n+1)*chunkBlocks).
+type mediaChunk [chunkBlocks]*[BlockSize]byte
+
 // zeroBlock is what a never-written block reads as. Nothing writes it.
 var zeroBlock [BlockSize]byte
 
 // readBlock returns block lba's media contents, to be read only.
 func (c *Ctrl) readBlock(lba uint64) []byte {
-	if b := c.media[lba]; b != nil {
-		return b[:]
+	if ch := c.media[lba/chunkBlocks]; ch != nil {
+		if b := ch[lba%chunkBlocks]; b != nil {
+			return b[:]
+		}
 	}
 	return zeroBlock[:]
 }
 
-// writeBlock returns block lba's media storage, creating it, zero-filled,
-// on the block's first write.
+// writeBlock returns block lba's media storage, backing its chunk and then
+// the block, zero-filled, on the first write into each.
 func (c *Ctrl) writeBlock(lba uint64) []byte {
-	b := c.media[lba]
+	ch := c.media[lba/chunkBlocks]
+	if ch == nil {
+		ch = new(mediaChunk)
+		c.media[lba/chunkBlocks] = ch
+	}
+	b := ch[lba%chunkBlocks]
 	if b == nil {
 		b = new([BlockSize]byte)
-		c.media[lba] = b
+		ch[lba%chunkBlocks] = b
 	}
 	return b[:]
 }

@@ -10,22 +10,71 @@ import (
 	"sud/internal/sim"
 )
 
-// TestBootHostCost pins what booting the supervised Q=2 block testbed (the
-// blk_kill benchmark's) costs the host. DMA pages and NVMe media are backed
-// on first touch, so the boot backs a handful of guest pages and allocates
-// about 0.23 MiB; backing them eagerly took 263 pages and 17.2 MiB.
+// TestBootHostCost pins what booting a block testbed costs the host: the
+// supervised Q=2 one (the blk_kill benchmark's) and the page-flip Q=4 one
+// (blk_read's). DMA pages and NVMe media are backed on first touch, so a
+// boot backs a handful of guest pages; backing them eagerly took 263 pages
+// and 17.2 MiB for the supervised testbed. The allocation bounds are about
+// 1.5x what a boot measures: 95 KiB and 155 KiB, since the uchan rings lost
+// their residency histograms, IO page-table entries shrank to one word and
+// the NVMe media index became backed per chunk (they were 235 KiB and
+// 369 KiB before).
 func TestBootHostCost(t *testing.T) {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
+	for _, tc := range []struct {
+		name  string
+		boot  func(hw.Platform) (*Testbed, error)
+		pages int
+		alloc uint64
+	}{
+		{"supervised-q2", func(p hw.Platform) (*Testbed, error) { return NewSupervisedTestbed(2, p) }, 10, 144 << 10},
+		{"flip-q4", func(p hw.Platform) (*Testbed, error) { return NewTestbedFlip(ModeSUD, 4, p) }, 10, 232 << 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			tb, err := tc.boot(hw.DefaultPlatform())
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pages, alloc := tb.M.Mem.PageCount(), after.TotalAlloc-before.TotalAlloc
+			t.Logf("boot: %d backed pages, %d B allocated", pages, alloc)
+			if pages > tc.pages || alloc > tc.alloc {
+				t.Fatalf("boot backed %d pages (bound %d) and allocated %d B (bound %d KiB)",
+					pages, tc.pages, alloc, tc.alloc>>10)
+			}
+		})
+	}
+}
+
+// TestRespawnHostCost pins what one kill→respawn of the idle supervised Q=2
+// testbed costs the host: the new incarnation's uchan rings, IO page tables
+// and pools. It measures about 47 KiB a respawn, against 154 KiB before the
+// uchan residency histograms went and page-table entries shrank to one word.
+func TestRespawnHostCost(t *testing.T) {
 	tb, err := NewSupervisedTestbed(2, hw.DefaultPlatform())
-	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pages, alloc := tb.M.Mem.PageCount(), after.TotalAlloc-before.TotalAlloc
-	t.Logf("boot: %d backed pages, %d B allocated", pages, alloc)
-	if pages > 10 || alloc > 512<<10 {
-		t.Fatalf("boot backed %d pages (bound 10) and allocated %d B (bound 512 KiB)", pages, alloc)
+	respawn := func(i int) {
+		tb.Sup.Proc().Kill()
+		tb.M.Loop.RunFor(500 * sim.Millisecond)
+		if tb.Sup.Restarts != i || tb.Sup.Quarantined {
+			t.Fatalf("kill %d: %d restarts, quarantined %v", i, tb.Sup.Restarts, tb.Sup.Quarantined)
+		}
+	}
+	respawn(1) // the first respawn also grows state every later one reuses
+	const kills = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 2; i <= kills+1; i++ {
+		respawn(i)
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / kills
+	t.Logf("respawn: %d B allocated", per)
+	if per > 96<<10 {
+		t.Fatalf("a respawn allocated %d B (bound 96 KiB)", per)
 	}
 }
 

@@ -1,6 +1,7 @@
 package diskperf
 
 import (
+	"bytes"
 	"fmt"
 
 	"sud/internal/devices/nvme"
@@ -133,8 +134,8 @@ func (r RecoveryResult) String() string {
 // kills the driver process killAfter into the run, and measures the
 // recovery: replayed requests, the kill-to-drained latency, and — the
 // invariant — that no submitted request surfaced an error or wrong bytes.
-// Each LBA holds an invariant fill pattern, so a read serviced from the
-// wrong incarnation's buffers is detected as an error.
+// Each LBA holds an invariant fill pattern (seedPattern), so a read serviced
+// from the wrong incarnation's buffers is detected as an error.
 func KillRecovery(tb *Testbed, jobs, depth int, killAfter, runFor sim.Duration) (RecoveryResult, error) {
 	if tb.Sup == nil {
 		return RecoveryResult{}, fmt.Errorf("diskperf: KillRecovery needs a supervised testbed")
@@ -142,15 +143,7 @@ func KillRecovery(tb *Testbed, jobs, depth int, killAfter, runFor sim.Duration) 
 	if jobs < 1 || depth < 1 {
 		return RecoveryResult{}, fmt.Errorf("diskperf: need at least one job and depth 1")
 	}
-	const span = 64
-	pattern := func(lba uint64) byte { return byte(lba*31 + 7) }
-	for lba := uint64(0); lba < span; lba++ {
-		buf := make([]byte, tb.Dev.Geom.BlockSize)
-		for i := range buf {
-			buf[i] = pattern(lba)
-		}
-		tb.Ctrl.SeedMedia(lba, buf)
-	}
+	want := seedPattern(tb)
 
 	res := RecoveryResult{Queues: tb.Queues, Jobs: jobs, Depth: depth,
 		KillAfterUS: float64(killAfter) / float64(sim.Microsecond)}
@@ -166,7 +159,7 @@ func KillRecovery(tb *Testbed, jobs, depth int, killAfter, runFor sim.Duration) 
 		if stopped {
 			return
 		}
-		lba := (uint64(j)*977 + seq*13) % span
+		lba := (uint64(j)*977 + seq*13) % seedSpan
 		issuedAt := tb.M.Now()
 		tb.K.Acct.Charge(costAppSubmit)
 		outstanding++
@@ -176,15 +169,8 @@ func KillRecovery(tb *Testbed, jobs, depth int, killAfter, runFor sim.Duration) 
 			}
 			outstanding--
 			res.Completed++
-			if err != nil {
+			if err != nil || !bytes.Equal(data, want[lba][:]) {
 				res.Errors++
-			} else {
-				for _, b := range data {
-					if b != pattern(lba) {
-						res.Errors++
-						break
-					}
-				}
 			}
 			if killedAt != 0 && issuedAt <= killedAt {
 				preKill--
@@ -215,7 +201,9 @@ func KillRecovery(tb *Testbed, jobs, depth int, killAfter, runFor sim.Duration) 
 		runFor = killAfter + 50*sim.Millisecond
 	}
 	tb.M.Loop.RunFor(runFor)
-	stopped = true
+	// The testbed's loop still holds callbacks of this run; let go of the
+	// seeded blocks they reach.
+	stopped, want = true, nil
 
 	res.Restarts = tb.Sup.Restarts
 	res.Failovers = tb.Sup.Failovers
@@ -228,4 +216,23 @@ func KillRecovery(tb *Testbed, jobs, depth int, killAfter, runFor sim.Duration) 
 	res.DrainP50US = drain.PercentileUS(0.50)
 	res.DrainP99US = drain.PercentileUS(0.99)
 	return res, nil
+}
+
+// seedSpan is how many LBAs the kill and queue-breach runs read.
+const seedSpan = 64
+
+// seedPattern fills LBAs [0, seedSpan) with a fill pattern that differs per
+// LBA and returns the seeded blocks, which every read is checked against
+// with one compare. The blocks are one allocation; they are the seed data
+// and the expected data both.
+func seedPattern(tb *Testbed) *[seedSpan][nvme.BlockSize]byte {
+	want := new([seedSpan][nvme.BlockSize]byte)
+	for lba := range want {
+		b := &want[lba]
+		for i := range b {
+			b[i] = byte(lba*31 + 7)
+		}
+		tb.Ctrl.SeedMedia(uint64(lba), b[:])
+	}
+	return want
 }

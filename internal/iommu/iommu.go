@@ -1,6 +1,8 @@
 // Package iommu models the DMA-remapping hardware SUD uses to confine
 // device-initiated memory operations (§3.2.2): per-device IO page tables with
-// an explicit two-level walk, an IOTLB, a fault log, and the vendor asymmetry
+// an explicit two-level walk over 8-byte entries in VT-d's second-level
+// layout (a leaf is one 4-KiB page, built when a domain first maps into its
+// 2-MiB region), an IOTLB, a fault log, and the vendor asymmetry
 // the paper's security evaluation turns on — Intel VT-d carries an implicit
 // identity mapping for the MSI address window in every page table (so a
 // malicious driver can always DMA to the MSI region, §5.2), while AMD's IOMMU
@@ -108,11 +110,19 @@ func (f Fault) Error() string {
 // each leaf maps 512 4-KiB pages.
 const leafEntries = 512
 
-type pte struct {
-	phys    mem.Addr
-	perm    Perm
-	present bool
-}
+// pte is one leaf entry in the layout of Intel VT-d's second-level
+// page-table entry (VT-d specification, "Second-Level Paging Entries"): one
+// 64-bit word whose bits 12 and up hold the host page frame and whose bits 0
+// and 1 grant read and write. VT-d has no separate present bit: an entry is
+// present iff it grants R or W, which is why Map rejects a mapping with
+// neither. A leaf of 512 entries is one 4-KiB page, as on the hardware.
+type pte uint64
+
+func makePTE(phys mem.Addr, perm Perm) pte { return pte(phys) | pte(perm) }
+
+func (e pte) present() bool  { return Perm(e)&PermRW != 0 }
+func (e pte) phys() mem.Addr { return mem.PageAlign(mem.Addr(e)) }
+func (e pte) perm() Perm     { return Perm(e) & PermRW }
 
 type leafTable struct {
 	entries [leafEntries]pte
@@ -164,8 +174,8 @@ func (d *Domain) Map(iova, phys mem.Addr, perm Perm) error {
 	if !mem.IsPageAligned(iova) || !mem.IsPageAligned(phys) {
 		return fmt.Errorf("iommu: unaligned mapping %#x -> %#x", uint64(iova), uint64(phys))
 	}
-	if perm&PermRW == 0 {
-		return fmt.Errorf("iommu: mapping %#x with no permissions", uint64(iova))
+	if perm&PermRW == 0 || perm&^PermRW != 0 {
+		return fmt.Errorf("iommu: mapping %#x with permissions %#x, want r, w or rw", uint64(iova), uint8(perm))
 	}
 	top, idx := split(iova)
 	lt := d.leaves[top]
@@ -173,10 +183,10 @@ func (d *Domain) Map(iova, phys mem.Addr, perm Perm) error {
 		lt = &leafTable{}
 		d.leaves[top] = lt
 	}
-	if lt.entries[idx].present {
+	if lt.entries[idx].present() {
 		return fmt.Errorf("iommu: IOVA %#x already mapped", uint64(iova))
 	}
-	lt.entries[idx] = pte{phys: phys, perm: perm, present: true}
+	lt.entries[idx] = makePTE(phys, perm)
 	d.pages++
 	return nil
 }
@@ -197,10 +207,10 @@ func (d *Domain) MapRange(iova, phys mem.Addr, size uint64, perm Perm) error {
 func (d *Domain) Unmap(iova mem.Addr) bool {
 	top, idx := split(iova)
 	lt := d.leaves[top]
-	if lt == nil || !lt.entries[idx].present {
+	if lt == nil || !lt.entries[idx].present() {
 		return false
 	}
-	lt.entries[idx] = pte{}
+	lt.entries[idx] = 0
 	d.pages--
 	return true
 }
@@ -215,11 +225,11 @@ func (d *Domain) Unmap(iova mem.Addr) bool {
 func (d *Domain) RevokePage(iova mem.Addr) (phys mem.Addr, ok bool) {
 	top, idx := split(iova)
 	lt := d.leaves[top]
-	if lt == nil || !lt.entries[idx].present {
+	if lt == nil || !lt.entries[idx].present() {
 		return 0, false
 	}
-	phys = lt.entries[idx].phys
-	lt.entries[idx] = pte{}
+	phys = lt.entries[idx].phys()
+	lt.entries[idx] = 0
 	d.pages--
 	return phys, true
 }
@@ -237,12 +247,12 @@ func (d *Domain) Pages() int { return d.pages }
 // walk performs the two-level page table walk.
 func (d *Domain) walk(iova mem.Addr) (pte, bool) {
 	if d.Passthrough {
-		return pte{phys: mem.PageAlign(iova), perm: PermRW, present: true}, true
+		return makePTE(mem.PageAlign(iova), PermRW), true
 	}
 	top, idx := split(iova)
 	lt := d.leaves[top]
-	if lt == nil || !lt.entries[idx].present {
-		return pte{}, false
+	if lt == nil || !lt.entries[idx].present() {
+		return 0, false
 	}
 	return lt.entries[idx], true
 }
@@ -258,11 +268,11 @@ func (d *Domain) Mappings() []Mapping {
 	var pages []page
 	for top, lt := range d.leaves {
 		for i, e := range lt.entries {
-			if e.present {
+			if e.present() {
 				pages = append(pages, page{
 					iova: mem.Addr(top<<21 | uint64(i)<<mem.PageShift),
-					phys: e.phys,
-					perm: e.perm,
+					phys: e.phys(),
+					perm: e.perm(),
 				})
 			}
 		}

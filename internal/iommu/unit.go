@@ -155,10 +155,10 @@ func (u *Unit) TranslateQ(bdf pci.BDF, stream int, iova mem.Addr, write bool) (m
 	for _, e := range u.tlb {
 		if e.bdf == bdf && e.stream == stream && e.iova == pageIOVA {
 			u.tlbHit++
-			if err := checkPerm(e.pte.perm, write); err != "" {
+			if err := checkPerm(e.pte.perm(), write); err != "" {
 				return 0, 0, u.faultQ(bdf, stream, iova, write, err)
 			}
-			return e.pte.phys + mem.Addr(mem.PageOffset(iova)), 0, nil
+			return e.pte.phys() + mem.Addr(mem.PageOffset(iova)), 0, nil
 		}
 	}
 	u.tlbMiss++
@@ -167,7 +167,7 @@ func (u *Unit) TranslateQ(bdf pci.BDF, stream int, iova mem.Addr, write bool) (m
 	if !present {
 		return 0, sim.CostIOMMUWalk, u.faultQ(bdf, stream, iova, write, "not present in IO page table")
 	}
-	if err := checkPerm(entry.perm, write); err != "" {
+	if err := checkPerm(entry.perm(), write); err != "" {
 		return 0, sim.CostIOMMUWalk, u.faultQ(bdf, stream, iova, write, err)
 	}
 	// Insert into the IOTLB, FIFO eviction. The oldest entry is shifted
@@ -177,7 +177,7 @@ func (u *Unit) TranslateQ(bdf pci.BDF, stream int, iova mem.Addr, write bool) (m
 		u.tlb = u.tlb[:n]
 	}
 	u.tlb = append(u.tlb, iotlbEntry{bdf: bdf, stream: stream, iova: pageIOVA, pte: entry})
-	return entry.phys + mem.Addr(mem.PageOffset(iova)), sim.CostIOMMUWalk, nil
+	return entry.phys() + mem.Addr(mem.PageOffset(iova)), sim.CostIOMMUWalk, nil
 }
 
 func checkPerm(p Perm, write bool) string {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"sud/internal/sim"
-	"sud/internal/trace"
 )
 
 // MultiChan generalises the user channel from one ring pair per driver to N
@@ -292,12 +291,3 @@ func (mc *MultiChan) Stats() Stats {
 // QueueStats returns queue q's own counters (per-queue doorbell and wake
 // rates for the scale harness).
 func (mc *MultiChan) QueueStats(q int) Stats { return mc.queues[mc.clamp(q)].Stats() }
-
-// QueueResidency returns queue q's ring-residency histograms (enqueue →
-// dequeue latency per message, both directions).
-func (mc *MultiChan) QueueResidency(q int) (up, down trace.Hist) {
-	return mc.queues[mc.clamp(q)].Residency()
-}
-
-// UrgentStats returns the urgent lane's counters.
-func (mc *MultiChan) UrgentStats() Stats { return mc.urgent.Stats() }

@@ -32,6 +32,13 @@
 // a downcall's Msg.Data is valid only inside KernelHandler. DecodeSlot's
 // copy is the kernel's own.
 //
+// A ring pair's only always-on measurements are its counters (Stats): every
+// driver start and respawn builds Q+1 ring pairs, so a per-ring histogram
+// would be paid on each boot whether or not anything read it. How long a
+// message sat in its ring is a span-plane measurement instead: the proxies
+// record the uchan.enq hop and the driver side the uchan.deq hop, when
+// tracing is enabled.
+//
 // The package is transport only; operation codes and marshalling belong to
 // the proxy driver classes in internal/proxy.
 package uchan
@@ -41,7 +48,6 @@ import (
 
 	"sud/internal/fifo"
 	"sud/internal/sim"
-	"sud/internal/trace"
 )
 
 // Msg is one message in either ring.
@@ -59,9 +65,6 @@ type Msg struct {
 
 	// urgent marks interrupt-class messages (set by ASendUrgent).
 	urgent bool
-	// enqAt stamps when the message entered its ring; the dequeue side
-	// turns it into a ring-residency sample (trace metrics plane).
-	enqAt sim.Time
 }
 
 // Tunables of the transport model.
@@ -214,14 +217,6 @@ type Chan struct {
 
 	nextSeq uint32
 	stats   Stats
-
-	// upRes / downRes are always-on ring-residency histograms: how long
-	// each message sat in its ring from enqueue to dequeue (upcall ring
-	// residency includes the wake latency a sleeping driver adds — the
-	// paper's 4 µs wakeup is directly visible here). Recording charges
-	// nothing; the transport stays bit-for-bit with the seed.
-	upRes   trace.Hist
-	downRes trace.Hist
 }
 
 // downBatch is one downcall batch: the ring entries plus the slot bytes
@@ -243,10 +238,6 @@ func New(loop *sim.Loop, kern, drv *sim.CPUAccount) *Chan {
 
 // Stats returns transport counters.
 func (c *Chan) Stats() Stats { return c.stats }
-
-// Residency returns snapshots of the upcall- and downcall-ring residency
-// histograms (enqueue→dequeue latency per message).
-func (c *Chan) Residency() (up, down trace.Hist) { return c.upRes, c.downRes }
 
 // Pending returns the number of queued upcalls (tests, hang detection).
 func (c *Chan) Pending() int { return c.k2u.Len() }
@@ -298,7 +289,6 @@ func (c *Chan) asend(m Msg, urgent bool) error {
 		return ErrRingFull
 	}
 	c.kern.Charge(sim.CostUchanEnqueue)
-	m.enqAt = c.loop.Now()
 	// A hung driver never sees the urgency: its messages wait, unmarked.
 	m.urgent = urgent && !c.Hung
 	c.k2u.Push(m)
@@ -450,7 +440,6 @@ func (c *Chan) drain() {
 	for {
 		for c.k2u.Len() > 0 && !c.Hung {
 			m := c.k2u.Pop()
-			c.upRes.Record(c.loop.Now() - m.enqAt)
 			c.drv.Charge(sim.CostUchanDequeue)
 			if m.urgent {
 				sawUrgent = true
@@ -537,7 +526,6 @@ func (c *Chan) downRoom() error {
 
 func (c *Chan) enqueueDown(m Msg) {
 	c.drv.Charge(sim.CostUchanEnqueue)
-	m.enqAt = c.loop.Now()
 	c.u2k.msgs = append(c.u2k.msgs, m)
 	c.stats.Downcalls++
 	if c.NoBatch {
@@ -567,7 +555,6 @@ func (c *Chan) flushDown() {
 		c.stats.MaxDownBatch = uint64(len(batch.msgs))
 	}
 	for _, m := range batch.msgs {
-		c.downRes.Record(c.loop.Now() - m.enqAt)
 		c.kern.Charge(sim.CostUchanDequeue)
 		if c.KernelHandler != nil {
 			c.KernelHandler(m)
