@@ -51,6 +51,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -71,6 +72,7 @@ const (
 )
 
 type gate struct {
+	out        io.Writer // where violations are reported
 	tolerance  float64
 	sloUS      float64
 	failSloUS  float64
@@ -101,7 +103,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchgate: no BENCH_*.json files given")
 		os.Exit(2)
 	}
-	g := &gate{tolerance: *tolerance, sloUS: *sloUS, failSloUS: *failSloUS, sha: *sha}
+	g := &gate{out: os.Stdout, tolerance: *tolerance, sloUS: *sloUS, failSloUS: *failSloUS, sha: *sha}
 	for _, path := range flag.Args() {
 		kind := kindOf(path)
 		base := filepath.Join(*baselines, kind+".json")
@@ -434,7 +436,7 @@ func (g *gate) checkRows(kind string, nCur, nBase int, rowFn func(int) (string, 
 
 func (g *gate) violate(kind, key, format string, args ...any) {
 	g.violations++
-	fmt.Printf("FAIL [%s] %s: %s\n", kind, key, fmt.Sprintf(format, args...))
+	fmt.Fprintf(g.out, "FAIL [%s] %s: %s\n", kind, key, fmt.Sprintf(format, args...))
 }
 
 func load(path string, out any) error {

@@ -265,7 +265,7 @@ func BlkRedirect(cfg Config) (Outcome, error) {
 			Args: [6]uint64{tag, 0, iova, uint64(nvme.BlockSize)}})
 	}
 	// And one forged batch with a malformed frame for good measure.
-	batch := blkproxy.EncodeBlkBatch([]blkproxy.CompRef{
+	batch := blkproxy.AppendBlkBatch(nil, []blkproxy.CompRef{
 		{Tag: tag, IOVA: uint64(secret), Len: nvme.BlockSize},
 	})
 	_ = proc.Chan.DownQ(1, uchan.Msg{Op: blkproxy.OpCompleteBatch, Data: append(batch, 0xEE)})

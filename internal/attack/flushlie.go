@@ -184,7 +184,7 @@ func FlushLie(cfg Config) (Outcome, error) {
 		{Barrier: 1, Epoch: 42, Tag: 0},
 		{Barrier: 0, Epoch: 0, Tag: 7},
 	} {
-		_ = proc.Chan.DownQ(0, uchan.Msg{Op: blkproxy.OpFlushDone, Data: blkproxy.EncodeFlushOp(f)})
+		_ = proc.Chan.DownQ(0, uchan.Msg{Op: blkproxy.OpFlushDone, Data: blkproxy.AppendFlushOp(nil, f)})
 	}
 	_ = proc.Chan.DownQ(0, uchan.Msg{Op: blkproxy.OpFlushDone, Data: []byte{0xEE, 0x01}})
 	proc.Chan.Flush()

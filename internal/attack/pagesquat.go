@@ -129,7 +129,7 @@ func pageSquatRun(cfg Config, attacked bool) (pageSquatResult, *netperf.MultiFlo
 			// pool one page per message.
 			_ = tb.EthProc.Chan.DownQ(0, uchan.Msg{
 				Op: ethproxy.OpNetifRxBatch,
-				Data: ethproxy.EncodeRxBatch([]ethproxy.RxRef{
+				Data: ethproxy.AppendRxBatch(nil, []ethproxy.RxRef{
 					{IOVA: uint64(dribblePage), Len: 60},
 				}),
 			})
@@ -143,7 +143,7 @@ func pageSquatRun(cfg Config, attacked bool) (pageSquatResult, *netperf.MultiFlo
 			}
 			_ = tb.EthProc.Chan.DownQ(0, uchan.Msg{
 				Op:   ethproxy.OpNetifRxBatch,
-				Data: ethproxy.EncodeRxBatch(refs),
+				Data: ethproxy.AppendRxBatch(nil, refs),
 			})
 			tb.EthProc.Chan.Flush()
 			if _, err := tb.EthProc.DF.DriverTouch(flipPage, 64, true); err != nil {
@@ -155,7 +155,7 @@ func pageSquatRun(cfg Config, attacked bool) (pageSquatResult, *netperf.MultiFlo
 			// revoked, never deliver.
 			_ = tb.EthProc.Chan.DownQ(0, uchan.Msg{
 				Op:   ethproxy.OpNetifRxBatch,
-				Data: ethproxy.EncodeRxBatch(refs),
+				Data: ethproxy.AppendRxBatch(nil, refs),
 			})
 			tb.EthProc.Chan.Flush()
 

@@ -217,7 +217,7 @@ func TOCTOUPageFlip() (Outcome, error) {
 
 	if err := r.proc.Chan.Down(uchan.Msg{
 		Op:   ethproxy.OpNetifRxBatch,
-		Data: ethproxy.EncodeRxBatch(refs),
+		Data: ethproxy.AppendRxBatch(nil, refs),
 	}); err != nil {
 		return Outcome{}, err
 	}

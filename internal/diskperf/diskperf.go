@@ -110,24 +110,24 @@ func NewTestbedWC(mode Mode, queues, cacheBlocks int, plat hw.Platform) (*Testbe
 	return newTestbed(mode, queues, cacheBlocks, false, plat)
 }
 
-func newTestbed(mode Mode, queues, cacheBlocks int, flip bool, plat hw.Platform) (*Testbed, error) {
-	if queues < 1 {
-		queues = 1
-	}
-	if queues > nvme.MaxIOQueues {
-		queues = nvme.MaxIOQueues
-	}
+// newBed boots the machine, kernel and NVMe-lite controller every block
+// testbed starts from, with queues clamped to what the controller supports.
+func newBed(mode Mode, queues, cacheBlocks int, plat hw.Platform) *Testbed {
+	queues = min(max(queues, 1), nvme.MaxIOQueues)
 	if plat.Cores == 0 {
 		plat.Cores = ScaleCores
 	}
 	m := hw.NewMachine(plat)
 	k := kernel.New(m)
-	params := nvme.MultiQueueParams(queues)
-	params.CacheBlocks = cacheBlocks
-	ctrl := nvme.New(m.Loop, pci.MakeBDF(2, 0, 0), 0xFEC00000, params)
+	ctrl := nvme.New(m.Loop, pci.MakeBDF(2, 0, 0), 0xFEC00000, nvme.CachedParams(queues, cacheBlocks))
 	m.AttachDevice(ctrl)
+	return &Testbed{Mode: mode, Queues: queues, M: m, K: k, Ctrl: ctrl}
+}
 
-	tb := &Testbed{Mode: mode, Queues: queues, Flip: flip && mode == ModeSUD, M: m, K: k, Ctrl: ctrl}
+func newTestbed(mode Mode, queues, cacheBlocks int, flip bool, plat hw.Platform) (*Testbed, error) {
+	tb := newBed(mode, queues, cacheBlocks, plat)
+	tb.Flip = flip && mode == ModeSUD
+	k, ctrl, queues := tb.K, tb.Ctrl, tb.Queues
 	switch mode {
 	case ModeKernel:
 		if _, err := k.BindInKernel(nvmed.NewQ(queues), ctrl); err != nil {
@@ -150,7 +150,12 @@ func newTestbed(mode Mode, queues, cacheBlocks int, flip bool, plat hw.Platform)
 			proc.Blk.GuardMode = blkproxy.GuardPageFlip
 		}
 	}
-	dev, err := k.Blk.Dev("nvme0")
+	return tb.up()
+}
+
+// up brings the testbed's nvme0 up and lets the driver settle.
+func (tb *Testbed) up() (*Testbed, error) {
+	dev, err := tb.K.Blk.Dev("nvme0")
 	if err != nil {
 		return nil, err
 	}
@@ -158,7 +163,7 @@ func newTestbed(mode Mode, queues, cacheBlocks int, flip bool, plat hw.Platform)
 		return nil, err
 	}
 	tb.Dev = dev
-	m.Loop.RunFor(100 * sim.Microsecond)
+	tb.M.Loop.RunFor(100 * sim.Microsecond)
 	return tb, nil
 }
 
@@ -239,6 +244,77 @@ func (r Result) String() string {
 	return b.String()
 }
 
+// load is a closed-loop fio-style workload: jobs × depth pipes, each with
+// one request outstanding along its job's LBA stride and the next issued
+// the app's reap time after it completes (fio's io_depth); a refused one
+// (ErrCongested) retries after retryDelay. Loaders differ only in hooks.
+type load struct {
+	tb      *Testbed
+	span    uint64                                // LBAs the jobs stride over
+	stopped bool                                  // nothing is issued or handled once set
+	submit  func(p *pipe) error                   // issues p's request for p.lba
+	done    func(p *pipe, data []byte, err error) // p's request completed
+}
+
+// pipe is one unit of a job's depth. Its event and callbacks are bound
+// once, so a steady-state I/O allocates nothing on the host.
+type pipe struct {
+	*load
+	job   int
+	seq   uint64   // request number along the job's stride
+	lba   uint64   // the outstanding request's block
+	at    sim.Time // when the outstanding request was issued
+	open  bool     // the outstanding request is not yet answered
+	flush bool     // the outstanding request is a barrier
+
+	next  sim.Event           // fires issue
+	read  func([]byte, error) // done, for this pipe
+	write func(error)         // done without data
+}
+
+const retryDelay = 10 * sim.Microsecond
+
+// run starts the pipes, job-major, each issuing at once.
+func (l *load) run(jobs, depth int) {
+	pipes := make([]pipe, jobs*depth)
+	for i := range pipes {
+		p := &pipes[i]
+		p.load, p.job, p.seq = l, i/depth, uint64(i%depth*100)
+		p.next.Fn = p.issue
+		p.read = func(data []byte, err error) {
+			if !l.stopped {
+				l.done(p, data, err)
+			}
+		}
+		p.write = func(err error) { p.read(nil, err) }
+		p.issue()
+	}
+}
+
+func (p *pipe) issue() {
+	if p.stopped {
+		return
+	}
+	p.lba = (uint64(p.job)*977 + p.seq*13) % p.span
+	p.tb.K.Acct.Charge(costAppSubmit)
+	if err := p.submit(p); err != nil {
+		p.tb.M.Loop.ArmAfter(&p.next, retryDelay)
+	}
+}
+
+// advance moves the pipe to its next request, issued d from now.
+func (p *pipe) advance(d sim.Duration) {
+	p.seq++
+	p.tb.M.Loop.ArmAfter(&p.next, d)
+}
+
+// reaped is the app reaping the pipe's completion: the next request goes
+// out the reap time later.
+func (p *pipe) reaped() {
+	p.tb.K.Acct.Charge(costAppReap)
+	p.advance(costAppReap)
+}
+
 // BlockIOPS runs jobs concurrent readers, each keeping depth single-block
 // reads outstanding over a striding LBA pattern (steered across the queue
 // pairs by the block core's LBA hash), and reports aggregate read IOPS.
@@ -246,38 +322,15 @@ func BlockIOPS(tb *Testbed, jobs, depth int, opt netperf.Options) (Result, error
 	if jobs < 1 || depth < 1 {
 		return Result{}, fmt.Errorf("diskperf: need at least one job and depth 1")
 	}
-	stopped := false
 	var completed uint64
-
-	// Each job strides its own LBA region; a completed read immediately
-	// issues the next after the app's reap+submit time, so the offered
-	// depth stays constant — fio's io_depth behaviour. ErrCongested backs
-	// off briefly instead of spinning.
-	var issue func(j int, seq uint64)
-	issue = func(j int, seq uint64) {
-		if stopped {
-			return
-		}
-		lba := (uint64(j)*977 + seq*13) % tb.Dev.Geom.Blocks
-		tb.K.Acct.Charge(costAppSubmit)
-		err := tb.Dev.ReadAt(lba, func(_ []byte, err error) {
-			if stopped {
-				return
-			}
-			completed++
-			tb.K.Acct.Charge(costAppReap)
-			tb.M.Loop.After(costAppReap, func() { issue(j, seq+1) })
-		})
-		if err != nil {
-			tb.M.Loop.After(10*sim.Microsecond, func() { issue(j, seq) })
-		}
+	l := &load{tb: tb, span: tb.Dev.Geom.Blocks}
+	l.submit = func(p *pipe) error { return tb.Dev.ReadAt(p.lba, p.read) }
+	l.done = func(p *pipe, _ []byte, _ error) {
+		completed++
+		p.reaped()
 	}
-	for j := 0; j < jobs; j++ {
-		for d := 0; d < depth; d++ {
-			issue(j, uint64(d*100))
-		}
-	}
-	defer func() { stopped = true }()
+	l.run(jobs, depth)
+	defer func() { l.stopped = true }()
 
 	res := measureWindows(tb, opt, &completed)
 	res.Jobs, res.Depth = jobs, depth
@@ -294,7 +347,6 @@ func BlockIOPSWrite(tb *Testbed, jobs, depth, fsyncEvery int, opt netperf.Option
 	if jobs < 1 || depth < 1 {
 		return Result{}, fmt.Errorf("diskperf: need at least one job and depth 1")
 	}
-	stopped := false
 	var completed uint64
 	payload := make([]byte, tb.Dev.Geom.BlockSize)
 	for i := range payload {
@@ -302,49 +354,34 @@ func BlockIOPSWrite(tb *Testbed, jobs, depth, fsyncEvery int, opt netperf.Option
 	}
 	// acked[j] counts job j's completed writes since its last flush; all
 	// of job j's pipelines share the fsync cadence, as one fsyncing
-	// process would.
+	// process would. The pipe that flushes waits for the barrier, which
+	// answers on its write callback.
 	acked := make([]int, jobs)
-
-	var issue func(j int, seq uint64)
-	issue = func(j int, seq uint64) {
-		if stopped {
+	l := &load{tb: tb, span: tb.Dev.Geom.Blocks}
+	l.submit = func(p *pipe) error { return tb.Dev.WriteAt(p.lba, payload, p.write) }
+	l.done = func(p *pipe, _ []byte, _ error) {
+		if p.flush {
+			p.flush = false
+			p.reaped()
 			return
 		}
-		lba := (uint64(j)*977 + seq*13) % tb.Dev.Geom.Blocks
-		tb.K.Acct.Charge(costAppSubmit)
-		err := tb.Dev.WriteAt(lba, payload, func(err error) {
-			if stopped {
-				return
+		completed++
+		tb.K.Acct.Charge(costAppReap)
+		acked[p.job]++
+		if fsyncEvery > 0 && acked[p.job] >= fsyncEvery {
+			acked[p.job] = 0
+			tb.K.Acct.Charge(costAppSubmit)
+			p.flush = true
+			if err := tb.Dev.Flush(p.write); err != nil {
+				p.flush = false
+				p.advance(retryDelay)
 			}
-			completed++
-			tb.K.Acct.Charge(costAppReap)
-			acked[j]++
-			if fsyncEvery > 0 && acked[j] >= fsyncEvery {
-				acked[j] = 0
-				tb.K.Acct.Charge(costAppSubmit)
-				if ferr := tb.Dev.Flush(func(error) {
-					if stopped {
-						return
-					}
-					tb.K.Acct.Charge(costAppReap)
-					tb.M.Loop.After(costAppReap, func() { issue(j, seq+1) })
-				}); ferr != nil {
-					tb.M.Loop.After(10*sim.Microsecond, func() { issue(j, seq+1) })
-				}
-				return
-			}
-			tb.M.Loop.After(costAppReap, func() { issue(j, seq+1) })
-		})
-		if err != nil {
-			tb.M.Loop.After(10*sim.Microsecond, func() { issue(j, seq) })
+			return
 		}
+		p.advance(costAppReap)
 	}
-	for j := 0; j < jobs; j++ {
-		for d := 0; d < depth; d++ {
-			issue(j, uint64(d*100))
-		}
-	}
-	defer func() { stopped = true }()
+	l.run(jobs, depth)
+	defer func() { l.stopped = true }()
 
 	flushBase := tb.Dev.Flushes
 	res := measureWindows(tb, opt, &completed)

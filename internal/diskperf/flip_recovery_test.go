@@ -95,7 +95,7 @@ func runFlipKillRecovery(t *testing.T, queues int) {
 	staleBefore, acksBefore := cur.Blk.RecycleStaleAck, cur.Blk.RecycleAcks
 	cur.Blk.HandleDowncall(0, uchan.Msg{
 		Op:   blkproxy.OpRecycleAck,
-		Data: protocol.EncodeRecycle(0, []uint64{0x42430000}),
+		Data: protocol.AppendRecycle(nil, 0, []uint64{0x42430000}),
 	})
 	if cur.Blk.RecycleStaleAck != staleBefore+1 {
 		t.Fatalf("stale-epoch recycle ack not rejected (stale=%d)", cur.Blk.RecycleStaleAck)

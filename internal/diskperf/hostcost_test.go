@@ -7,6 +7,7 @@ import (
 
 	"sud/internal/hw"
 	"sud/internal/mem"
+	"sud/internal/netperf"
 	"sud/internal/sim"
 )
 
@@ -155,5 +156,65 @@ func TestRespawnGetsZeroedPages(t *testing.T) {
 	}
 	if reused == 0 {
 		t.Fatal("the new incarnation reused none of the dead one's slot-pool pages")
+	}
+}
+
+// TestSteadyStateHostCost pins the block path's steady state: once warm,
+// the host allocates at most 8 B per completed I/O over a fixed virtual
+// window, on blk_read's testbed (page flip, Q=4, 16 jobs × 6 reads) and on
+// blk_fsync's (64-block write cache, Q=4, 16 × 6 writes, a flush every 32
+// acks per job). Ring codecs, slot payloads, DecodeSlot's copies and the
+// loaders' per-I/O callbacks all reuse storage; the two measure about 1.3
+// B (guest DMA pages backed on first touch) and 1.7 B (the block core's
+// per-barrier state), against 245 and 213 B when each of those allocated.
+func TestSteadyStateHostCost(t *testing.T) {
+	const warm, window = 20 * sim.Millisecond, 30 * sim.Millisecond
+	for _, tc := range []struct {
+		name string
+		boot func() (*Testbed, error)
+		run  func(*Testbed, netperf.Options) (Result, error)
+	}{
+		{"blk_read", func() (*Testbed, error) { return NewTestbedFlip(ModeSUD, 4, hw.DefaultPlatform()) },
+			func(tb *Testbed, opt netperf.Options) (Result, error) { return BlockIOPS(tb, 16, 6, opt) }},
+		{"blk_fsync", func() (*Testbed, error) { return NewTestbedWC(ModeSUD, 4, 64, hw.DefaultPlatform()) },
+			func(tb *Testbed, opt netperf.Options) (Result, error) { return BlockIOPSWrite(tb, 16, 6, 32, opt) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tb, err := tc.boot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Back every block first, as a long-running device is: a
+			// write's first touch of a block backs it on the host.
+			seed := bytes.Repeat([]byte{0x3C}, tb.Dev.Geom.BlockSize)
+			for lba := uint64(0); lba < tb.Dev.Geom.Blocks; lba++ {
+				tb.Ctrl.SeedMedia(lba, seed)
+			}
+			var alloc, ios [2]uint64
+			mark := func(i int) func() {
+				return func() {
+					var ms runtime.MemStats
+					runtime.ReadMemStats(&ms)
+					alloc[i] = ms.TotalAlloc
+					for q := 0; q < tb.Dev.NumQueues(); q++ {
+						ios[i] += tb.Dev.Queue(q).Completions
+					}
+				}
+			}
+			// The window opens just after the harness's own set-up for
+			// it (its per-queue latency baselines).
+			start := tb.M.Now()
+			tb.M.Loop.At(start+warm+sim.Microsecond, mark(0))
+			tb.M.Loop.At(start+warm+window, mark(1))
+			if _, err := tc.run(tb, netperf.Options{Warmup: warm, Window: window, MinWindows: 1, MaxWindows: 1}); err != nil {
+				t.Fatal(err)
+			}
+			n := ios[1] - ios[0]
+			per := float64(alloc[1]-alloc[0]) / float64(n)
+			t.Logf("%d I/Os completed, %.2f B allocated per I/O", n, per)
+			if n == 0 || per > 8 {
+				t.Fatalf("%.1f B allocated per completed I/O over %d I/Os (bound 8)", per, n)
+			}
+		})
 	}
 }

@@ -84,56 +84,40 @@ func QueueBreachRecovery(tb *Testbed, jobs, depth int, breachAfter, runFor sim.D
 	breachQ := tb.Queues - 1
 	res := QueueRecoveryResult{Queues: tb.Queues, Jobs: jobs, Depth: depth,
 		BreachAfterUS: float64(breachAfter) / float64(sim.Microsecond)}
-	stopped := false
 	var breachAt sim.Time
 	pre := make([]uint64, tb.Queues)    // completions in [breach-window, breach)
 	during := make([]uint64, tb.Queues) // completions in [breach, breach+window)
 	preStart := sim.Time(breachAfter - qrecoveryWindow)
 
-	var issue func(j int, seq uint64)
-	issue = func(j int, seq uint64) {
-		if stopped {
+	l := &load{tb: tb, span: seedSpan}
+	l.submit = func(p *pipe) error {
+		p.open = true
+		return tb.Dev.ReadAtQ(p.lba, p.job%tb.Queues, p.read)
+	}
+	l.done = func(p *pipe, data []byte, err error) {
+		if !p.open {
+			// A request answered twice — the replay was not exactly-once.
+			res.Errors++
 			return
 		}
-		q := j % tb.Queues
-		lba := (uint64(j)*977 + seq*13) % seedSpan
-		tb.K.Acct.Charge(costAppSubmit)
-		done := false
-		err := tb.Dev.ReadAtQ(lba, q, func(data []byte, err error) {
-			if stopped {
-				return
-			}
-			if done {
-				// A request answered twice — the replay was not exactly-once.
-				res.Errors++
-				return
-			}
-			done = true
-			res.Completed++
-			if err != nil || !bytes.Equal(data, want[lba][:]) {
-				res.Errors++
-			}
-			now := tb.M.Now()
-			switch {
-			case breachAt == 0:
-				if now >= preStart {
-					pre[q]++
-				}
-			case now < breachAt+sim.Time(qrecoveryWindow):
-				during[q]++
-			}
-			tb.K.Acct.Charge(costAppReap)
-			tb.M.Loop.After(costAppReap, func() { issue(j, seq+1) })
-		})
-		if err != nil {
-			tb.M.Loop.After(10*sim.Microsecond, func() { issue(j, seq) })
+		p.open = false
+		res.Completed++
+		if err != nil || !bytes.Equal(data, want[p.lba][:]) {
+			res.Errors++
 		}
-	}
-	for j := 0; j < jobs; j++ {
-		for d := 0; d < depth; d++ {
-			issue(j, uint64(d*100))
+		q := p.job % tb.Queues
+		now := tb.M.Now()
+		switch {
+		case breachAt == 0:
+			if now >= preStart {
+				pre[q]++
+			}
+		case now < breachAt+sim.Time(qrecoveryWindow):
+			during[q]++
 		}
+		p.reaped()
 	}
+	l.run(jobs, depth)
 	tb.M.Loop.After(breachAfter, func() {
 		breachAt = tb.M.Now()
 		// The breached queue's engine walks an IOVA nothing mapped into its
@@ -150,7 +134,7 @@ func QueueBreachRecovery(tb *Testbed, jobs, depth int, breachAfter, runFor sim.D
 	tb.M.Loop.RunFor(runFor)
 	// The testbed's loop still holds callbacks of this run; let go of the
 	// seeded blocks they reach.
-	stopped, want = true, nil
+	l.stopped, want = true, nil
 
 	res.QueueRecoveries = tb.Sup.QueueRecoveries
 	res.Restarts = tb.Sup.Restarts

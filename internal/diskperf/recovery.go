@@ -7,8 +7,6 @@ import (
 	"sud/internal/devices/nvme"
 	"sud/internal/drivers/nvmed"
 	"sud/internal/hw"
-	"sud/internal/kernel"
-	"sud/internal/pci"
 	"sud/internal/proxy/blkproxy"
 	"sud/internal/sim"
 	"sud/internal/sudml"
@@ -33,24 +31,13 @@ func NewSupervisedTestbedFlip(queues int, plat hw.Platform) (*Testbed, error) {
 }
 
 func newSupervisedTestbed(queues int, flip bool, plat hw.Platform) (*Testbed, error) {
-	if queues < 1 {
-		queues = 1
-	}
-	if queues > nvme.MaxIOQueues {
-		queues = nvme.MaxIOQueues
-	}
-	if plat.Cores == 0 {
-		plat.Cores = ScaleCores
-	}
-	m := hw.NewMachine(plat)
-	k := kernel.New(m)
-	ctrl := nvme.New(m.Loop, pci.MakeBDF(2, 0, 0), 0xFEC00000, nvme.MultiQueueParams(queues))
-	m.AttachDevice(ctrl)
-	drv := nvmed.NewQ(queues)
+	tb := newBed(ModeSUD, queues, 0, plat)
+	tb.Flip = flip
+	drv := nvmed.NewQ(tb.Queues)
 	if flip {
-		drv = nvmed.NewFlipQ(queues)
+		drv = nvmed.NewFlipQ(tb.Queues)
 	}
-	sup, err := sudml.SuperviseBlock(k, ctrl, drv, "nvmed", "nvme0", 1003, queues)
+	sup, err := sudml.SuperviseBlock(tb.K, tb.Ctrl, drv, "nvmed", "nvme0", 1003, tb.Queues)
 	if err != nil {
 		return nil, err
 	}
@@ -60,18 +47,8 @@ func newSupervisedTestbed(queues int, flip bool, plat hw.Platform) (*Testbed, er
 		sup.BlkGuard = blkproxy.GuardPageFlip
 		sup.Proc().Blk.GuardMode = blkproxy.GuardPageFlip
 	}
-	tb := &Testbed{Mode: ModeSUD, Queues: queues, Flip: flip, M: m, K: k, Ctrl: ctrl,
-		Proc: sup.Proc(), Sup: sup}
-	dev, err := k.Blk.Dev("nvme0")
-	if err != nil {
-		return nil, err
-	}
-	if err := dev.Up(); err != nil {
-		return nil, err
-	}
-	tb.Dev = dev
-	m.Loop.RunFor(100 * sim.Microsecond)
-	return tb, nil
+	tb.Proc, tb.Sup = sup.Proc(), sup
+	return tb.up()
 }
 
 // NewFailoverTestbed boots the supervised block testbed and arms a hot
@@ -147,51 +124,38 @@ func KillRecovery(tb *Testbed, jobs, depth int, killAfter, runFor sim.Duration) 
 
 	res := RecoveryResult{Queues: tb.Queues, Jobs: jobs, Depth: depth,
 		KillAfterUS: float64(killAfter) / float64(sim.Microsecond)}
-	stopped := false
 	var killedAt sim.Time
 	preKill := 0 // requests outstanding at kill time, not yet completed
 	outstanding := 0
 	var recoveredAt sim.Time
 	var drain trace.Hist // per-request kill→completion latencies
 
-	var issue func(j int, seq uint64)
-	issue = func(j int, seq uint64) {
-		if stopped {
-			return
-		}
-		lba := (uint64(j)*977 + seq*13) % seedSpan
-		issuedAt := tb.M.Now()
-		tb.K.Acct.Charge(costAppSubmit)
+	l := &load{tb: tb, span: seedSpan}
+	l.submit = func(p *pipe) error {
+		p.at = tb.M.Now()
 		outstanding++
-		err := tb.Dev.ReadAt(lba, func(data []byte, err error) {
-			if stopped {
-				return
-			}
-			outstanding--
-			res.Completed++
-			if err != nil || !bytes.Equal(data, want[lba][:]) {
-				res.Errors++
-			}
-			if killedAt != 0 && issuedAt <= killedAt {
-				preKill--
-				drain.Record(tb.M.Now() - killedAt)
-				if preKill == 0 && recoveredAt == 0 {
-					recoveredAt = tb.M.Now()
-				}
-			}
-			tb.K.Acct.Charge(costAppReap)
-			tb.M.Loop.After(costAppReap, func() { issue(j, seq+1) })
-		})
+		err := tb.Dev.ReadAt(p.lba, p.read)
 		if err != nil {
 			outstanding--
-			tb.M.Loop.After(10*sim.Microsecond, func() { issue(j, seq) })
 		}
+		return err
 	}
-	for j := 0; j < jobs; j++ {
-		for d := 0; d < depth; d++ {
-			issue(j, uint64(d*100))
+	l.done = func(p *pipe, data []byte, err error) {
+		outstanding--
+		res.Completed++
+		if err != nil || !bytes.Equal(data, want[p.lba][:]) {
+			res.Errors++
 		}
+		if killedAt != 0 && p.at <= killedAt {
+			preKill--
+			drain.Record(tb.M.Now() - killedAt)
+			if preKill == 0 && recoveredAt == 0 {
+				recoveredAt = tb.M.Now()
+			}
+		}
+		p.reaped()
 	}
+	l.run(jobs, depth)
 	tb.M.Loop.After(killAfter, func() {
 		killedAt = tb.M.Now()
 		preKill = outstanding
@@ -203,7 +167,7 @@ func KillRecovery(tb *Testbed, jobs, depth int, killAfter, runFor sim.Duration) 
 	tb.M.Loop.RunFor(runFor)
 	// The testbed's loop still holds callbacks of this run; let go of the
 	// seeded blocks they reach.
-	stopped, want = true, nil
+	l.stopped, want = true, nil
 
 	res.Restarts = tb.Sup.Restarts
 	res.Failovers = tb.Sup.Failovers

@@ -16,7 +16,11 @@
 // Drivers import only this package; they cannot tell which host they run in.
 package api
 
-import "sud/internal/mem"
+import (
+	"errors"
+
+	"sud/internal/mem"
+)
 
 // MMIO is a mapped view of one memory BAR (the result of ioremap).
 type MMIO interface {
@@ -53,6 +57,12 @@ type DMABuf interface {
 	Slice(off, n int) ([]byte, bool)
 }
 
+// ErrTxBusy is a transmit refused for want of room — a full TX ring, a busy
+// transmitter, no free proxy slot. It is backpressure, not failure: the
+// stack stops the queue until the driver wakes it. One shared value, so a
+// refusal costs no formatting.
+var ErrTxBusy = errors.New("api: transmit ring full")
+
 // NetDevice is the driver's half of the netdev contract — the
 // net_device_ops table from Figure 2.
 type NetDevice interface {
@@ -63,7 +73,9 @@ type NetDevice interface {
 	// StartXmit transmits one Ethernet frame (ndo_start_xmit). The
 	// slice is valid only during the call: the caller reuses it once the
 	// call returns, so a driver copies the frame into its own buffer (a
-	// DMA ring slot, device SRAM, a proxy slot) before returning.
+	// DMA ring slot, device SRAM, a proxy slot) before returning. A
+	// driver with no room for the frame returns ErrTxBusy
+	// (NETDEV_TX_BUSY).
 	StartXmit(frame []byte) error
 	// DoIoctl handles device-private ioctls (ndo_do_ioctl), e.g.
 	// SIOCGMIIREG in the paper's example.

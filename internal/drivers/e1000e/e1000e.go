@@ -356,7 +356,7 @@ func (n *nic) StartXmitQ(frame []byte, q int) error {
 		n.reclaimTx()
 		if t.inFlight >= RingSize-1 {
 			t.stopped = true
-			return fmt.Errorf("e1000e: TX ring %d full", q)
+			return api.ErrTxBusy
 		}
 	}
 	slot := t.tail

@@ -145,7 +145,7 @@ func (n *card) StartXmit(frame []byte) error {
 		return fmt.Errorf("ne2k-pci: frame too large")
 	}
 	if n.txBusy {
-		return fmt.Errorf("ne2k-pci: transmitter busy")
+		return api.ErrTxBusy
 	}
 	io := n.io
 	n.remoteSetup(txPage*ne2k.PageSize, uint16(len(frame)))

@@ -107,11 +107,6 @@ func (u *Unit) AttachQueue(bdf pci.BDF, stream int, dom *Domain) {
 	u.InvalidateStream(bdf, stream)
 }
 
-// QueueDomain returns the sub-domain attached for (bdf, stream), or nil.
-func (u *Unit) QueueDomain(bdf pci.BDF, stream int) *Domain {
-	return u.qdoms[queueKey{bdf: bdf, stream: stream}]
-}
-
 // QueueDomains reports how many per-queue sub-domains bdf has attached.
 func (u *Unit) QueueDomains(bdf pci.BDF) int {
 	n := 0

@@ -598,11 +598,6 @@ func (d *Dev) WriteAtFUA(lba uint64, data []byte, cb func(error)) error {
 	return d.writeAtQ(lba, QueueForLBA(lba, len(d.queues)), data, true, cb)
 }
 
-// WriteAtFUAQ is WriteAtFUA on an explicit queue.
-func (d *Dev) WriteAtFUAQ(lba uint64, q int, data []byte, cb func(error)) error {
-	return d.writeAtQ(lba, q, data, true, cb)
-}
-
 func (d *Dev) writeAtQ(lba uint64, q int, data []byte, fua bool, cb func(error)) error {
 	if len(data) != d.Geom.BlockSize {
 		return ErrBadSize
@@ -632,9 +627,6 @@ func (d *Dev) Flush(cb func(error)) error {
 	d.pumpBarrier()
 	return nil
 }
-
-// FlushPending reports whether a barrier is active or queued (tests).
-func (d *Dev) FlushPending() bool { return d.barrier != nil || d.flushQ.Len() > 0 }
 
 // pumpBarrier advances the barrier state machine: activate the next queued
 // flush, and once the in-flight table is drained hand the flush itself to

@@ -709,7 +709,7 @@ func (s *Stack) xmitQ(ifc *Iface, frame []byte, q int) error {
 		// stays stopped until WakeQueue — siblings keep transmitting.
 		qc.txStopped = true
 		s.TxErrors++
-		return fmt.Errorf("%w: %v", ErrQueueStopped, err)
+		return ErrQueueStopped
 	}
 	if ifc.Shadow != nil {
 		// A supervised driver may die before the frame's credit returns;

@@ -248,9 +248,3 @@ func (s *Net) TakePendingTx(q int) [][]byte {
 	}
 	return out
 }
-
-// ResetTx drops the whole TX log (interface unregistered while recovering:
-// nothing is left to replay).
-func (s *Net) ResetTx() {
-	s.txLog = nil
-}

@@ -1,6 +1,9 @@
 package blkproxy
 
-import "errors"
+import (
+	"encoding/binary"
+	"errors"
+)
 
 // Batched completion framing — the block analogue of ethproxy's rxbatch.
 //
@@ -25,6 +28,10 @@ const (
 
 	blkBatchHeaderLen = 2
 	blkCompLen        = 22
+
+	// MaxBlkBatchLen is the longest batch: a sender encodes into a buffer
+	// of this size without growing it.
+	MaxBlkBatchLen = blkBatchHeaderLen + blkCompLen*MaxBlkBatch
 )
 
 // CompRef is one I/O completion: the kernel's request tag, the device
@@ -47,40 +54,32 @@ var (
 	ErrBatchSlack = errors.New("blkproxy: completion batch has trailing bytes")
 )
 
-// EncodeBlkBatch marshals up to MaxBlkBatch completions into batch bytes.
-// Longer slices are truncated to MaxBlkBatch (callers flush at the bound).
-func EncodeBlkBatch(comps []CompRef) []byte {
+// AppendBlkBatch appends the batch bytes for up to MaxBlkBatch completions
+// to dst and returns the extended slice. Longer slices are truncated to
+// MaxBlkBatch (callers flush at the bound).
+func AppendBlkBatch(dst []byte, comps []CompRef) []byte {
 	if len(comps) > MaxBlkBatch {
 		comps = comps[:MaxBlkBatch]
 	}
-	buf := make([]byte, blkBatchHeaderLen+blkCompLen*len(comps))
-	buf[0] = byte(len(comps))
-	buf[1] = byte(len(comps) >> 8)
-	for i, c := range comps {
-		off := blkBatchHeaderLen + blkCompLen*i
-		for b := 0; b < 8; b++ {
-			buf[off+b] = byte(c.Tag >> (8 * b))
-		}
-		buf[off+8] = byte(c.Status)
-		buf[off+9] = byte(c.Status >> 8)
-		for b := 0; b < 8; b++ {
-			buf[off+10+b] = byte(c.IOVA >> (8 * b))
-		}
-		for b := 0; b < 4; b++ {
-			buf[off+18+b] = byte(c.Len >> (8 * b))
-		}
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(comps)))
+	for _, c := range comps {
+		dst = binary.LittleEndian.AppendUint64(dst, c.Tag)
+		dst = binary.LittleEndian.AppendUint16(dst, c.Status)
+		dst = binary.LittleEndian.AppendUint64(dst, c.IOVA)
+		dst = binary.LittleEndian.AppendUint32(dst, c.Len)
 	}
-	return buf
+	return dst
 }
 
 // DecodeBlkBatch unmarshals batch bytes written by the (untrusted) driver
-// process. It never panics on arbitrary input; malformed batches return an
-// error.
-func DecodeBlkBatch(buf []byte) ([]CompRef, error) {
+// process into dst's storage: the completions it returns are dst[:0]
+// extended, so a dst with room for MaxBlkBatch never grows. It never panics
+// on arbitrary input; malformed batches return an error.
+func DecodeBlkBatch(dst []CompRef, buf []byte) ([]CompRef, error) {
 	if len(buf) < blkBatchHeaderLen {
 		return nil, ErrBatchShort
 	}
-	count := int(buf[0]) | int(buf[1])<<8
+	count := int(binary.LittleEndian.Uint16(buf))
 	if count == 0 || count > MaxBlkBatch {
 		return nil, ErrBatchCount
 	}
@@ -91,24 +90,15 @@ func DecodeBlkBatch(buf []byte) ([]CompRef, error) {
 	if len(buf) > want {
 		return nil, ErrBatchSlack
 	}
-	comps := make([]CompRef, count)
-	for i := range comps {
-		off := blkBatchHeaderLen + blkCompLen*i
-		var tag, iova uint64
-		for b := 7; b >= 0; b-- {
-			tag = tag<<8 | uint64(buf[off+b])
-			iova = iova<<8 | uint64(buf[off+10+b])
-		}
-		var n uint32
-		for b := 3; b >= 0; b-- {
-			n = n<<8 | uint32(buf[off+18+b])
-		}
-		comps[i] = CompRef{
-			Tag:    tag,
-			Status: uint16(buf[off+8]) | uint16(buf[off+9])<<8,
-			IOVA:   iova,
-			Len:    n,
-		}
+	comps := dst[:0]
+	for off := blkBatchHeaderLen; off < want; off += blkCompLen {
+		e := buf[off : off+blkCompLen]
+		comps = append(comps, CompRef{
+			Tag:    binary.LittleEndian.Uint64(e[0:]),
+			Status: binary.LittleEndian.Uint16(e[8:]),
+			IOVA:   binary.LittleEndian.Uint64(e[10:]),
+			Len:    binary.LittleEndian.Uint32(e[18:]),
+		})
 	}
 	return comps, nil
 }

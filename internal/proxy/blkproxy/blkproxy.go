@@ -433,8 +433,9 @@ func (p *Proxy) submitFlush(q int, req api.BlockRequest) error {
 		return fmt.Errorf("blkproxy: barrier %d already in flight", p.inFlightFlush.barrier)
 	}
 	p.barrierSeq++
-	frame := EncodeFlushOp(FlushOp{Barrier: p.barrierSeq, Epoch: p.epoch, Tag: req.Tag})
-	if err := p.C.ASend(q, uchan.Msg{Op: OpFlush, Data: frame}); err != nil {
+	var frame [FlushOpLen]byte
+	fo := FlushOp{Barrier: p.barrierSeq, Epoch: p.epoch, Tag: req.Tag}
+	if err := p.C.ASend(q, uchan.Msg{Op: OpFlush, Data: AppendFlushOp(frame[:0], fo)}); err != nil {
 		p.SubmitDropsHung++
 		p.stalled[q] = true
 		return fmt.Errorf("blkproxy: flush upcall: %w", err)
@@ -487,7 +488,8 @@ func (p *Proxy) HandleDowncall(q int, m uchan.Msg) {
 		if p.queueStale(q, m.Args[0]) {
 			return
 		}
-		comps, err := DecodeBlkBatch(m.Data)
+		var buf [MaxBlkBatch]CompRef
+		comps, err := DecodeBlkBatch(buf[:], m.Data)
 		if err != nil {
 			// Malformed framing from the untrusted driver: dropped and
 			// counted, never dispatched (§3.1.1).
@@ -508,7 +510,8 @@ func (p *Proxy) HandleDowncall(q int, m uchan.Msg) {
 			p.maybeFlushRecycle(q)
 		}
 	case OpRecycleAck:
-		epoch, pages, err := protocol.DecodeRecycle(m.Data)
+		var buf [protocol.MaxRecyclePages]uint64
+		epoch, pages, err := protocol.DecodeRecycle(buf[:], m.Data)
 		if err != nil {
 			p.RecycleBadAck++
 			return
@@ -765,7 +768,8 @@ func (p *Proxy) flushRecycleQ(q int) {
 		if end > len(pending) {
 			end = len(pending)
 		}
-		var returned []uint64
+		var buf [protocol.MaxRecyclePages]uint64
+		returned := buf[:0]
 		for _, page := range pending[start:end] {
 			// RecyclePage fails only if the page is no longer flipped —
 			// the driver died and teardown reclaimed it.
@@ -777,9 +781,10 @@ func (p *Proxy) flushRecycleQ(q int) {
 		if len(returned) == 0 {
 			continue
 		}
+		var frame [protocol.MaxRecycleLen]byte
 		err := p.C.ASend(q, uchan.Msg{
 			Op:   OpPageRecycle,
-			Data: protocol.EncodeRecycle(uint32(p.epoch), returned),
+			Data: protocol.AppendRecycle(frame[:0], uint32(p.epoch), returned),
 		})
 		if err != nil {
 			// The pages are back in the driver's domain either way; a

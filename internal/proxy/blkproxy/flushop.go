@@ -1,6 +1,9 @@
 package blkproxy
 
-import "errors"
+import (
+	"encoding/binary"
+	"errors"
+)
 
 // Flush-barrier framing — the durability cousin of the completion batch.
 //
@@ -22,7 +25,10 @@ import "errors"
 //	[8:16)  device incarnation epoch the barrier was issued under
 //	[16:24) kernel request tag of the flush
 //	[24:26) completion status (0 in the upcall direction)
-const flushOpLen = 26
+
+// FlushOpLen is the length of one flush barrier frame: a sender encodes
+// into a buffer of this size without growing it.
+const FlushOpLen = 26
 
 // FlushOp is one flush barrier on the wire.
 type FlushOp struct {
@@ -35,32 +41,26 @@ type FlushOp struct {
 // Flush framing decode errors.
 var ErrFlushOpLen = errors.New("blkproxy: flush op is not exactly one frame")
 
-// EncodeFlushOp marshals one flush barrier frame.
-func EncodeFlushOp(f FlushOp) []byte {
-	buf := make([]byte, flushOpLen)
-	for b := 0; b < 8; b++ {
-		buf[b] = byte(f.Barrier >> (8 * b))
-		buf[8+b] = byte(f.Epoch >> (8 * b))
-		buf[16+b] = byte(f.Tag >> (8 * b))
-	}
-	buf[24] = byte(f.Status)
-	buf[25] = byte(f.Status >> 8)
-	return buf
+// AppendFlushOp appends one flush barrier frame to dst and returns the
+// extended slice.
+func AppendFlushOp(dst []byte, f FlushOp) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, f.Barrier)
+	dst = binary.LittleEndian.AppendUint64(dst, f.Epoch)
+	dst = binary.LittleEndian.AppendUint64(dst, f.Tag)
+	return binary.LittleEndian.AppendUint16(dst, f.Status)
 }
 
 // DecodeFlushOp unmarshals one flush barrier frame written by the
 // (untrusted) driver process. It never panics on arbitrary input; anything
 // that is not exactly one frame returns an error.
 func DecodeFlushOp(buf []byte) (FlushOp, error) {
-	if len(buf) != flushOpLen {
+	if len(buf) != FlushOpLen {
 		return FlushOp{}, ErrFlushOpLen
 	}
-	var f FlushOp
-	for b := 7; b >= 0; b-- {
-		f.Barrier = f.Barrier<<8 | uint64(buf[b])
-		f.Epoch = f.Epoch<<8 | uint64(buf[8+b])
-		f.Tag = f.Tag<<8 | uint64(buf[16+b])
-	}
-	f.Status = uint16(buf[24]) | uint16(buf[25])<<8
-	return f, nil
+	return FlushOp{
+		Barrier: binary.LittleEndian.Uint64(buf[0:]),
+		Epoch:   binary.LittleEndian.Uint64(buf[8:]),
+		Tag:     binary.LittleEndian.Uint64(buf[16:]),
+		Status:  binary.LittleEndian.Uint16(buf[24:]),
+	}, nil
 }

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"strings"
 
+	"sud/internal/drivers/api"
 	"sud/internal/fifo"
 	"sud/internal/kernel/netstack"
 	"sud/internal/mem"
@@ -383,7 +384,7 @@ func (d *proxyDev) StartXmitQ(frame []byte, q int) error {
 	}
 	if len(p.free[q]) == 0 {
 		p.stalled[q] = true
-		return fmt.Errorf("ethproxy: no free TX slots on queue %d", q)
+		return api.ErrTxBusy
 	}
 	slot := p.free[q][len(p.free[q])-1]
 	local := slot % p.perQueue
@@ -476,7 +477,8 @@ func (p *Proxy) HandleDowncall(q int, m uchan.Msg) {
 		if p.queueStale(q) {
 			return
 		}
-		refs, err := DecodeRxBatch(m.Data)
+		var buf [MaxRxBatch]RxRef
+		refs, err := DecodeRxBatch(buf[:], m.Data)
 		if err != nil {
 			// Malformed framing from the untrusted driver: dropped
 			// and counted, never dispatched (§3.1.1).
@@ -492,7 +494,8 @@ func (p *Proxy) HandleDowncall(q int, m uchan.Msg) {
 			p.netifRx(q, mem.Addr(r.IOVA), int(r.Len))
 		}
 	case OpRecycleAck:
-		epoch, pages, err := protocol.DecodeRecycle(m.Data)
+		var buf [protocol.MaxRecyclePages]uint64
+		epoch, pages, err := protocol.DecodeRecycle(buf[:], m.Data)
 		if err != nil {
 			p.RecycleBadAck++
 			return

@@ -205,7 +205,7 @@ func TestBatchedRxDelivery(t *testing.T) {
 	r.m.Mem.MustWrite(alloc.Phys, frame)
 	r.m.Mem.MustWrite(alloc.Phys+mem.Addr(2048), frame)
 
-	batch := EncodeRxBatch([]RxRef{
+	batch := AppendRxBatch(nil, []RxRef{
 		{IOVA: uint64(alloc.IOVA), Len: uint32(len(frame))},
 		{IOVA: uint64(alloc.IOVA) + 2048, Len: uint32(len(frame))},
 	})
@@ -227,7 +227,7 @@ func TestBatchedRxDelivery(t *testing.T) {
 	}
 	// A poisoned reference inside a valid batch: the bad ref is counted,
 	// the good one still lands.
-	mixed := EncodeRxBatch([]RxRef{
+	mixed := AppendRxBatch(nil, []RxRef{
 		{IOVA: uint64(hw.DRAMBase), Len: 64},
 		{IOVA: uint64(alloc.IOVA), Len: uint32(len(frame))},
 	})

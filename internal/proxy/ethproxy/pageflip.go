@@ -148,7 +148,8 @@ func (p *Proxy) flushRecycleQ(q int) {
 		if end > len(pending) {
 			end = len(pending)
 		}
-		var returned []uint64
+		var buf [protocol.MaxRecyclePages]uint64
+		returned := buf[:0]
 		for _, page := range pending[start:end] {
 			delete(p.lent[q], page)
 			if p.DF.PageRevoked(mem.Addr(page)) {
@@ -168,9 +169,10 @@ func (p *Proxy) flushRecycleQ(q int) {
 		if len(returned) == 0 {
 			continue
 		}
+		var frame [protocol.MaxRecycleLen]byte
 		err := p.C.ASend(q, uchan.Msg{
 			Op:   OpPageRecycle,
-			Data: protocol.EncodeRecycle(uint32(p.epoch), returned),
+			Data: protocol.AppendRecycle(frame[:0], uint32(p.epoch), returned),
 		})
 		if err != nil {
 			// The pages are back in the driver's domain either way; a

@@ -1,6 +1,9 @@
 package ethproxy
 
-import "errors"
+import (
+	"encoding/binary"
+	"errors"
+)
 
 // Batched RX delivery framing.
 //
@@ -25,6 +28,10 @@ const (
 
 	rxBatchHeaderLen = 2
 	rxRefLen         = 12
+
+	// MaxRxBatchLen is the longest batch: a sender encodes into a buffer
+	// of this size without growing it.
+	MaxRxBatchLen = rxBatchHeaderLen + rxRefLen*MaxRxBatch
 )
 
 // RxRef is one received-frame reference: a buffer in the driver's own DMA
@@ -44,35 +51,30 @@ var (
 	ErrBatchSlack = errors.New("ethproxy: rx batch has trailing bytes")
 )
 
-// EncodeRxBatch marshals up to MaxRxBatch frame references into batch bytes.
-// Longer slices are truncated to MaxRxBatch (callers flush at the bound).
-func EncodeRxBatch(refs []RxRef) []byte {
+// AppendRxBatch appends the batch bytes for up to MaxRxBatch frame
+// references to dst and returns the extended slice. Longer slices are
+// truncated to MaxRxBatch (callers flush at the bound).
+func AppendRxBatch(dst []byte, refs []RxRef) []byte {
 	if len(refs) > MaxRxBatch {
 		refs = refs[:MaxRxBatch]
 	}
-	buf := make([]byte, rxBatchHeaderLen+rxRefLen*len(refs))
-	buf[0] = byte(len(refs))
-	buf[1] = byte(len(refs) >> 8)
-	for i, r := range refs {
-		off := rxBatchHeaderLen + rxRefLen*i
-		for b := 0; b < 8; b++ {
-			buf[off+b] = byte(r.IOVA >> (8 * b))
-		}
-		for b := 0; b < 4; b++ {
-			buf[off+8+b] = byte(r.Len >> (8 * b))
-		}
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(refs)))
+	for _, r := range refs {
+		dst = binary.LittleEndian.AppendUint64(dst, r.IOVA)
+		dst = binary.LittleEndian.AppendUint32(dst, r.Len)
 	}
-	return buf
+	return dst
 }
 
 // DecodeRxBatch unmarshals batch bytes written by the (untrusted) driver
-// process. It never panics on arbitrary input; malformed batches return an
-// error.
-func DecodeRxBatch(buf []byte) ([]RxRef, error) {
+// process into dst's storage: the references it returns are dst[:0]
+// extended, so a dst with room for MaxRxBatch never grows. It never panics
+// on arbitrary input; malformed batches return an error.
+func DecodeRxBatch(dst []RxRef, buf []byte) ([]RxRef, error) {
 	if len(buf) < rxBatchHeaderLen {
 		return nil, ErrBatchShort
 	}
-	count := int(buf[0]) | int(buf[1])<<8
+	count := int(binary.LittleEndian.Uint16(buf))
 	if count == 0 || count > MaxRxBatch {
 		return nil, ErrBatchCount
 	}
@@ -83,18 +85,12 @@ func DecodeRxBatch(buf []byte) ([]RxRef, error) {
 	if len(buf) > want {
 		return nil, ErrBatchSlack
 	}
-	refs := make([]RxRef, count)
-	for i := range refs {
-		off := rxBatchHeaderLen + rxRefLen*i
-		var iova uint64
-		for b := 7; b >= 0; b-- {
-			iova = iova<<8 | uint64(buf[off+b])
-		}
-		var n uint32
-		for b := 3; b >= 0; b-- {
-			n = n<<8 | uint32(buf[off+8+b])
-		}
-		refs[i] = RxRef{IOVA: iova, Len: n}
+	refs := dst[:0]
+	for off := rxBatchHeaderLen; off < want; off += rxRefLen {
+		refs = append(refs, RxRef{
+			IOVA: binary.LittleEndian.Uint64(buf[off:]),
+			Len:  binary.LittleEndian.Uint32(buf[off+8:]),
+		})
 	}
 	return refs, nil
 }

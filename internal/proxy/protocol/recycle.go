@@ -30,6 +30,10 @@ const MaxRecyclePages = 64
 const recycleHdrSize = 2 + 4
 const recycleRefSize = 8
 
+// MaxRecycleLen is the longest recycle frame: a sender encodes into a
+// buffer of this size without growing it.
+const MaxRecycleLen = recycleHdrSize + MaxRecyclePages*recycleRefSize
+
 // Recycle decode errors (exported for fuzz and proxy tests).
 var (
 	ErrRecycleShort = errors.New("protocol: recycle frame shorter than header")
@@ -38,26 +42,27 @@ var (
 	ErrRecycleSlack = errors.New("protocol: recycle frame has trailing bytes")
 )
 
-// EncodeRecycle encodes a batch of flipped-page IOVAs with the sender's
-// epoch. Panics if the batch is empty or exceeds MaxRecyclePages — senders
-// control their own batch size; only decoders face untrusted input.
-func EncodeRecycle(epoch uint32, pages []uint64) []byte {
+// AppendRecycle appends the recycle frame for a batch of flipped-page
+// IOVAs with the sender's epoch to dst and returns the extended slice.
+// Panics if the batch is empty or exceeds MaxRecyclePages — senders control
+// their own batch size; only decoders face untrusted input.
+func AppendRecycle(dst []byte, epoch uint32, pages []uint64) []byte {
 	if len(pages) == 0 || len(pages) > MaxRecyclePages {
 		panic("protocol: recycle batch size out of range")
 	}
-	buf := make([]byte, recycleHdrSize+len(pages)*recycleRefSize)
-	binary.LittleEndian.PutUint16(buf[0:], uint16(len(pages)))
-	binary.LittleEndian.PutUint32(buf[2:], epoch)
-	for i, p := range pages {
-		binary.LittleEndian.PutUint64(buf[recycleHdrSize+i*recycleRefSize:], p)
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(pages)))
+	dst = binary.LittleEndian.AppendUint32(dst, epoch)
+	for _, p := range pages {
+		dst = binary.LittleEndian.AppendUint64(dst, p)
 	}
-	return buf
+	return dst
 }
 
-// DecodeRecycle defensively decodes a recycle frame from the shared ring.
-// Every structural violation is an error; the caller counts it against the
-// peer and drops the frame.
-func DecodeRecycle(buf []byte) (epoch uint32, pages []uint64, err error) {
+// DecodeRecycle defensively decodes a recycle frame from the shared ring
+// into dst's storage: the pages it returns are dst[:0] extended, so a dst
+// with room for MaxRecyclePages never grows. Every structural violation is
+// an error; the caller counts it against the peer and drops the frame.
+func DecodeRecycle(dst []uint64, buf []byte) (epoch uint32, pages []uint64, err error) {
 	if len(buf) < recycleHdrSize {
 		return 0, nil, ErrRecycleShort
 	}
@@ -73,9 +78,9 @@ func DecodeRecycle(buf []byte) (epoch uint32, pages []uint64, err error) {
 	if len(buf) > want {
 		return 0, nil, ErrRecycleSlack
 	}
-	pages = make([]uint64, n)
-	for i := range pages {
-		pages[i] = binary.LittleEndian.Uint64(buf[recycleHdrSize+i*recycleRefSize:])
+	pages = dst[:0]
+	for off := recycleHdrSize; off < want; off += recycleRefSize {
+		pages = append(pages, binary.LittleEndian.Uint64(buf[off:]))
 	}
 	return epoch, pages, nil
 }

@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 )
 
@@ -17,7 +18,7 @@ func TestRecycleRoundTrip(t *testing.T) {
 		{7, make([]uint64, MaxRecyclePages)},
 	}
 	for _, c := range cases {
-		epoch, pages, err := DecodeRecycle(EncodeRecycle(c.epoch, c.pages))
+		epoch, pages, err := DecodeRecycle(nil, AppendRecycle(nil, c.epoch, c.pages))
 		if err != nil {
 			t.Fatalf("decode(%d pages): %v", len(c.pages), err)
 		}
@@ -38,7 +39,7 @@ func TestRecycleRoundTrip(t *testing.T) {
 // TestRecycleRejectsMalformed covers the defensive paths either untrusted
 // direction (upcall or echoed ack) can hit.
 func TestRecycleRejectsMalformed(t *testing.T) {
-	good := EncodeRecycle(1, []uint64{0x1000, 0x2000})
+	good := AppendRecycle(nil, 1, []uint64{0x1000, 0x2000})
 	cases := map[string]struct {
 		buf  []byte
 		want error
@@ -51,7 +52,7 @@ func TestRecycleRejectsMalformed(t *testing.T) {
 		"slack":     {append(append([]byte{}, good...), 0xEE), ErrRecycleSlack},
 	}
 	for name, c := range cases {
-		if _, _, err := DecodeRecycle(c.buf); err != c.want {
+		if _, _, err := DecodeRecycle(nil, c.buf); err != c.want {
 			t.Errorf("%s: got %v, want %v", name, err, c.want)
 		}
 	}
@@ -64,7 +65,7 @@ func TestRecycleRejectsMalformed(t *testing.T) {
 					t.Errorf("encode of %d pages did not panic", len(pages))
 				}
 			}()
-			EncodeRecycle(0, pages)
+			AppendRecycle(nil, 0, pages)
 		}()
 	}
 }
@@ -74,23 +75,62 @@ func TestRecycleRejectsMalformed(t *testing.T) {
 // — the upcall handing pages back to the driver and the ack the driver
 // echoes — so the decoder must never panic, anything it accepts must respect
 // the page bound, and accepted frames must re-encode to identical bytes (no
-// parser ambiguity for a smuggled payload).
+// parser ambiguity for a smuggled payload). Decoding into a reused,
+// garbage-filled destination must give exactly what decoding into an empty
+// one gives, and re-encoding into a reused buffer the same bytes.
 func FuzzDecodeRecycleRing(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 0, 0})
-	f.Add(EncodeRecycle(1, []uint64{0x42431000}))
-	f.Add(EncodeRecycle(^uint32(0), make([]uint64, MaxRecyclePages)))
+	f.Add(AppendRecycle(nil, 1, []uint64{0x42431000}))
+	f.Add(AppendRecycle(nil, ^uint32(0), make([]uint64, MaxRecyclePages)))
 	f.Add([]byte{0xFF, 0xFF, 1, 2, 3, 4, 5})
 	f.Fuzz(func(t *testing.T, buf []byte) {
-		epoch, pages, err := DecodeRecycle(buf)
+		epoch, pages, err := DecodeRecycle(nil, buf)
+		var used [MaxRecyclePages]uint64
+		for i := range used {
+			used[i] = 0xDEAD_0000_0000 + uint64(i)
+		}
+		epoch2, pages2, err2 := DecodeRecycle(used[:], buf)
+		if err2 != err || epoch2 != epoch || !slices.Equal(pages2, pages) {
+			t.Fatalf("reused destination: (%d %x %v), empty: (%d %x %v)", epoch2, pages2, err2, epoch, pages, err)
+		}
 		if err != nil {
 			return
 		}
 		if len(pages) == 0 || len(pages) > MaxRecyclePages {
 			t.Fatalf("accepted %d pages", len(pages))
 		}
-		if !bytes.Equal(EncodeRecycle(epoch, pages), buf) {
+		if !bytes.Equal(AppendRecycle(nil, epoch, pages), buf) {
 			t.Fatal("decode/encode mismatch")
 		}
+		reused := bytes.Repeat([]byte{0xEE}, MaxRecycleLen)
+		if !bytes.Equal(AppendRecycle(reused[:0], epoch, pages), buf) {
+			t.Fatal("encode into a reused buffer differs")
+		}
 	})
+}
+
+// TestRecycleCodecAllocatesNothing pins both directions of the recycle lane
+// to caller storage: encoding into a MaxRecycleLen buffer and decoding into
+// a MaxRecyclePages destination allocate nothing.
+func TestRecycleCodecAllocatesNothing(t *testing.T) {
+	in := make([]uint64, MaxRecyclePages)
+	for i := range in {
+		in[i] = uint64(i+1) << 12
+	}
+	buf := make([]byte, 0, MaxRecycleLen)
+	dst := make([]uint64, MaxRecyclePages)
+	var pages []uint64
+	if a := testing.AllocsPerRun(100, func() {
+		buf = AppendRecycle(buf[:0], 7, in)
+		var err error
+		if _, pages, err = DecodeRecycle(dst, buf); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Fatalf("recycle encode+decode allocates %v times", a)
+	}
+	if !slices.Equal(pages, in) {
+		t.Fatal("round trip through caller storage mangled the pages")
+	}
 }

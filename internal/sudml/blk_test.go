@@ -11,6 +11,7 @@ import (
 	"sud/internal/kernel/blockdev"
 	"sud/internal/pci"
 	"sud/internal/proxy/blkproxy"
+	"sud/internal/proxy/protocol"
 	"sud/internal/sim"
 	"sud/internal/sudml"
 	"sud/internal/uchan"
@@ -155,7 +156,7 @@ func TestSUDBlockMalformedBatchDropped(t *testing.T) {
 	bad := [][]byte{
 		{},
 		{0xFF, 0xFF, 1, 2, 3},
-		append(blkproxy.EncodeBlkBatch([]blkproxy.CompRef{{Tag: 5}}), 0xAA),
+		append(blkproxy.AppendBlkBatch(nil, []blkproxy.CompRef{{Tag: 5}}), 0xAA),
 	}
 	for _, b := range bad {
 		if err := w.proc.Chan.DownQ(1, uchan.Msg{Op: blkproxy.OpCompleteBatch, Data: b}); err != nil {
@@ -303,4 +304,48 @@ func TestSUDBlockPerQueuePools(t *testing.T) {
 
 func blkPoolLabel(q int) string {
 	return "blk q" + string(rune('0'+q)) + " slot pool"
+}
+
+// TestSUDRecycleRoundTripAllocatesNothing pins the page-flip recycle lane
+// on a Q=4 block process: a recycle upcall is drained by the runtime, whose
+// frame is decoded into caller storage and handed to the page-aware driver,
+// echoed back as an ack downcall, decoded by DecodeSlot and again by the
+// proxy's epoch check. Once warm, the round trip allocates nothing.
+func TestSUDRecycleRoundTripAllocatesNothing(t *testing.T) {
+	m := hw.NewMachine(hw.DefaultPlatform())
+	k := kernel.New(m)
+	ctrl := nvme.New(m.Loop, pci.MakeBDF(2, 0, 0), 0xFEC00000, nvme.MultiQueueParams(4))
+	m.AttachDevice(ctrl)
+	proc, err := sudml.StartQ(k, ctrl, nvmed.NewFlipQ(4), "nvmed", 1200, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proc.Blk.GuardMode = blkproxy.GuardPageFlip
+	dev, err := k.Blk.Dev("nvme0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dev.Up(); err != nil {
+		t.Fatal(err)
+	}
+	m.Loop.RunFor(100 * sim.Microsecond)
+
+	pages := []uint64{0x7000_0000, 0x7000_1000, 0x7000_2000}
+	var frame [protocol.MaxRecycleLen]byte
+	run := 0
+	if a := testing.AllocsPerRun(50, func() {
+		q := run % 4
+		run++
+		data := protocol.AppendRecycle(frame[:0], uint32(dev.Epoch()), pages)
+		if err := proc.Chan.ASend(q, uchan.Msg{Op: blkproxy.OpPageRecycle, Data: data}); err != nil {
+			t.Fatal(err)
+		}
+		m.Loop.RunFor(200 * sim.Microsecond)
+	}); a != 0 {
+		t.Fatalf("a recycle round trip allocates %v times", a)
+	}
+	if got := proc.Blk.RecycleAcks; got != 51*uint64(len(pages)) || proc.BadRecycleFrames != 0 ||
+		proc.Blk.RecycleBadAck+proc.Blk.RecycleStaleAck != 0 {
+		t.Fatalf("acks %d, bad frames %d/%d/%d", got, proc.BadRecycleFrames, proc.Blk.RecycleBadAck, proc.Blk.RecycleStaleAck)
+	}
 }

@@ -159,7 +159,7 @@ func TestSUDBlockForgedFlushDoneRejected(t *testing.T) {
 
 	// No barrier in flight: a FlushDone out of nowhere (a barrier
 	// "completed" before it was issued) must be dropped and counted.
-	forged := blkproxy.EncodeFlushOp(blkproxy.FlushOp{Barrier: 1, Epoch: 0, Tag: 0})
+	forged := blkproxy.AppendFlushOp(nil, blkproxy.FlushOp{Barrier: 1, Epoch: 0, Tag: 0})
 	if err := w.proc.Chan.DownQ(0, uchan.Msg{Op: blkproxy.OpFlushDone, Data: forged}); err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestSUDBlockForgedFlushDoneRejected(t *testing.T) {
 		{Barrier: 1, Epoch: 0, Tag: 42}, // wrong tag
 	} {
 		if err := w.proc.Chan.DownQ(0, uchan.Msg{Op: blkproxy.OpFlushDone,
-			Data: blkproxy.EncodeFlushOp(f)}); err != nil {
+			Data: blkproxy.AppendFlushOp(nil, f)}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -183,9 +183,6 @@ func (e *Engine) Quarantined() bool { return e.quarantined }
 // Reason returns the evidence trail behind the quarantine ("" if none).
 func (e *Engine) Reason() string { return e.reason }
 
-// Backoff returns the current ladder position (tests and logging).
-func (e *Engine) Backoff() sim.Duration { return e.backoff }
-
 // InWindow reports how many restarts sit inside the sliding window at now.
 func (e *Engine) InWindow(now sim.Time) int {
 	e.prune(now)

@@ -85,15 +85,21 @@ type Process struct {
 
 	// pendingTx holds, per queue, transmit upcalls the driver's TX ring
 	// had no room for; they drain after descriptor reclaim (interrupt
-	// handling).
-	pendingTx  []fifo.Queue[uchan.Msg]
-	retryTimer []bool
+	// handling), or when the queue's txRetry timer fires.
+	pendingTx []fifo.Queue[uchan.Msg]
+	txRetry   []sim.Event
 
 	// pendingBlk holds, per queue, block submissions the driver's
 	// hardware queue had no room for; they drain after completion
-	// processing, exactly like pendingTx.
-	pendingBlk    []fifo.Queue[uchan.Msg]
-	blkRetryTimer []bool
+	// processing, exactly like pendingTx. A held flush barrier keeps its
+	// frame decoded in Args (see handleBlkSubmit), because an upcall's
+	// Data is valid only while it is handled.
+	pendingBlk []fifo.Queue[uchan.Msg]
+	blkRetry   []sim.Event
+
+	// recycleAddrs is handleRecycle's scratch for the page list it hands
+	// the driver's PageRecycler, which must not keep it past the call.
+	recycleAddrs []mem.Addr
 
 	// blkComp accumulates, per queue, I/O completion references awaiting
 	// the batched OpCompleteBatch downcall — the block analogue of
@@ -229,24 +235,28 @@ func newShellQ(k *kernel.Kernel, dev pci.Device, drv api.Driver, name string, ui
 	}
 	ch := uchan.NewMulti(k.M.Loop, k.Acct, accts)
 	p := &Process{
-		Name:          name,
-		UID:           uid,
-		K:             k,
-		DF:            df,
-		Chan:          ch,
-		Acct:          acct,
-		QueueAccts:    accts,
-		driver:        drv,
-		sliceAddrs:    make(map[*byte]mem.Addr),
-		pendingTx:     make([]fifo.Queue[uchan.Msg], len(accts)),
-		retryTimer:    make([]bool, len(accts)),
-		rxBatch:       make([][]ethproxy.RxRef, len(accts)),
-		pendingBlk:    make([]fifo.Queue[uchan.Msg], len(accts)),
-		blkRetryTimer: make([]bool, len(accts)),
-		blkComp:       make([][]blkproxy.CompRef, len(accts)),
-		flushMeta:     make(map[uint64]blkproxy.FlushOp),
-		qep:           make([]uint64, len(accts)),
-		qparked:       make([]bool, len(accts)),
+		Name:       name,
+		UID:        uid,
+		K:          k,
+		DF:         df,
+		Chan:       ch,
+		Acct:       acct,
+		QueueAccts: accts,
+		driver:     drv,
+		sliceAddrs: make(map[*byte]mem.Addr),
+		pendingTx:  make([]fifo.Queue[uchan.Msg], len(accts)),
+		txRetry:    make([]sim.Event, len(accts)),
+		rxBatch:    make([][]ethproxy.RxRef, len(accts)),
+		pendingBlk: make([]fifo.Queue[uchan.Msg], len(accts)),
+		blkRetry:   make([]sim.Event, len(accts)),
+		blkComp:    make([][]blkproxy.CompRef, len(accts)),
+		flushMeta:  make(map[uint64]blkproxy.FlushOp),
+		qep:        make([]uint64, len(accts)),
+		qparked:    make([]bool, len(accts)),
+	}
+	for q := range accts {
+		p.txRetry[q].Fn = func() { p.retryPendingTx(q) }
+		p.blkRetry[q].Fn = func() { p.retryPendingBlk(q) }
 	}
 	ch.SetDriverHandler(p.dispatch)
 	ch.SetKernelHandler(p.routeDowncall)
@@ -660,7 +670,8 @@ func (p *Process) handleQueueEpoch(m uchan.Msg) {
 // can reject credits addressed to a dead incarnation.
 func (p *Process) handleRecycle(q int, m uchan.Msg, ackOp uint32) {
 	p.QueueAccts[q].Charge(sim.CostUMLCall)
-	_, pages, err := protocol.DecodeRecycle(m.Data)
+	var buf [protocol.MaxRecyclePages]uint64
+	_, pages, err := protocol.DecodeRecycle(buf[:], m.Data)
 	if err != nil {
 		p.BadRecycleFrames++
 		return
@@ -672,11 +683,11 @@ func (p *Process) handleRecycle(q int, m uchan.Msg, ackOp uint32) {
 		rec = r
 	}
 	if rec != nil {
-		addrs := make([]mem.Addr, len(pages))
-		for i, pg := range pages {
-			addrs[i] = mem.Addr(pg)
+		p.recycleAddrs = p.recycleAddrs[:0]
+		for _, pg := range pages {
+			p.recycleAddrs = append(p.recycleAddrs, mem.Addr(pg))
 		}
-		rec.RecyclePages(q, addrs)
+		rec.RecyclePages(q, p.recycleAddrs)
 	}
 	if err := p.Chan.DownQ(q, uchan.Msg{Op: ackOp, Data: m.Data}); err != nil {
 		p.BadRecycleFrames++
@@ -736,14 +747,12 @@ func (p *Process) holdXmit(q int, m uchan.Msg) {
 		return
 	}
 	p.pendingTx[q].Push(m)
-	if !p.retryTimer[q] {
-		p.retryTimer[q] = true
-		p.K.M.Loop.After(xmitRetryDelay, func() { p.retryPendingTx(q) })
+	if !p.txRetry[q].Pending() {
+		p.K.M.Loop.ArmAfter(&p.txRetry[q], xmitRetryDelay)
 	}
 }
 
 func (p *Process) retryPendingTx(q int) {
-	p.retryTimer[q] = false
 	if p.killed {
 		return
 	}
@@ -751,9 +760,8 @@ func (p *Process) retryPendingTx(q int) {
 	p.drainPendingTxQ(q)
 	p.kickPending()
 	p.Chan.Flush()
-	if p.pendingTx[q].Len() > 0 && !p.retryTimer[q] {
-		p.retryTimer[q] = true
-		p.K.M.Loop.After(xmitRetryDelay, func() { p.retryPendingTx(q) })
+	if p.pendingTx[q].Len() > 0 && !p.txRetry[q].Pending() {
+		p.K.M.Loop.ArmAfter(&p.txRetry[q], xmitRetryDelay)
 	}
 }
 
@@ -818,9 +826,22 @@ func (p *Process) xmitDone(q int, slot uint64) {
 // to the driver's hardware queue q. If that queue is full, the message is
 // held and retried after completion processing — the block mirror of
 // handleXmit, with per-queue hold queues so one saturated hardware queue
-// never stalls a sibling's submissions.
+// never stalls a sibling's submissions. A flush barrier's frame is decoded
+// here, while the upcall's Data is valid, and travels on in Args.
 func (p *Process) handleBlkSubmit(q int, m uchan.Msg) {
-	if m.Op != blkproxy.OpFlush {
+	if m.Op == blkproxy.OpFlush {
+		fo, err := blkproxy.DecodeFlushOp(m.Data)
+		if err != nil {
+			// The frame is kernel-written, so this cannot happen today —
+			// but a dropped barrier wedges the device (the kernel-side
+			// barrier waits forever), so the drop is counted and logged,
+			// never silent.
+			p.BadFlushFrames++
+			p.K.Logf("sudml: %s dropped undecodable flush frame (%v)", p.Name, err)
+			return
+		}
+		m = uchan.Msg{Op: blkproxy.OpFlush, Args: [6]uint64{fo.Barrier, fo.Epoch, fo.Tag}}
+	} else {
 		p.K.M.Trace.Event(trace.ClassBlk, q, m.Args[5], trace.HopUchanDeq)
 	}
 	if p.pendingBlk[q].Len() > 0 {
@@ -840,14 +861,12 @@ func (p *Process) holdBlkSubmit(q int, m uchan.Msg) {
 		return
 	}
 	p.pendingBlk[q].Push(m)
-	if !p.blkRetryTimer[q] {
-		p.blkRetryTimer[q] = true
-		p.K.M.Loop.After(xmitRetryDelay, func() { p.retryPendingBlk(q) })
+	if !p.blkRetry[q].Pending() {
+		p.K.M.Loop.ArmAfter(&p.blkRetry[q], xmitRetryDelay)
 	}
 }
 
 func (p *Process) retryPendingBlk(q int) {
-	p.blkRetryTimer[q] = false
 	if p.killed {
 		return
 	}
@@ -860,9 +879,8 @@ func (p *Process) retryPendingBlk(q int) {
 	p.kickPending()
 	p.flushBlkComps()
 	p.Chan.Flush()
-	if p.pendingBlk[q].Len() > 0 && !p.blkRetryTimer[q] {
-		p.blkRetryTimer[q] = true
-		p.K.M.Loop.After(xmitRetryDelay, func() { p.retryPendingBlk(q) })
+	if p.pendingBlk[q].Len() > 0 && !p.blkRetry[q].Pending() {
+		p.K.M.Loop.ArmAfter(&p.blkRetry[q], xmitRetryDelay)
 	}
 }
 
@@ -888,16 +906,7 @@ func (p *Process) drainPendingBlkQ(q int) {
 // held). Invalid write references complete immediately as errors.
 func (p *Process) tryBlkSubmit(q int, m uchan.Msg) bool {
 	if m.Op == blkproxy.OpFlush {
-		fo, err := blkproxy.DecodeFlushOp(m.Data)
-		if err != nil {
-			// The frame is kernel-written, so this cannot happen today —
-			// but a dropped barrier wedges the device (the kernel-side
-			// barrier waits forever), so the drop is counted and logged,
-			// never silent.
-			p.BadFlushFrames++
-			p.K.Logf("sudml: %s dropped undecodable flush frame (%v)", p.Name, err)
-			return true
-		}
+		fo := blkproxy.FlushOp{Barrier: m.Args[0], Epoch: m.Args[1], Tag: m.Args[2]}
 		p.flushMeta[fo.Tag] = fo
 		if err := p.blockdev.Submit(q, api.BlockRequest{Flush: true, Tag: fo.Tag}); err != nil {
 			delete(p.flushMeta, fo.Tag)
@@ -1247,7 +1256,8 @@ func (bk *umlBlockKernel) Complete(q int, tag uint64, err error, data []byte) {
 		if err != nil {
 			fo.Status = 1
 		}
-		_ = p.Chan.DownQ(q, uchan.Msg{Op: blkproxy.OpFlushDone, Data: blkproxy.EncodeFlushOp(fo)})
+		var frame [blkproxy.FlushOpLen]byte
+		_ = p.Chan.DownQ(q, uchan.Msg{Op: blkproxy.OpFlushDone, Data: blkproxy.AppendFlushOp(frame[:0], fo)})
 		return
 	}
 	comp := p.completionRef(tag, err, data)
@@ -1255,12 +1265,10 @@ func (bk *umlBlockKernel) Complete(q int, tag uint64, err error, data []byte) {
 		// Slice identity lost (the payload is not a registered DMA
 		// view): bounce it inline on either transport — a zero
 		// reference in the batch framing would read as a write
-		// completion.
+		// completion. The ring copies the bytes.
 		p.BouncedRx++
 		p.QueueAccts[q].Charge(sim.Copy(len(data)))
-		buf := make([]byte, len(data))
-		copy(buf, data)
-		_ = p.Chan.DownQ(q, uchan.Msg{Op: blkproxy.OpComplete, Data: buf,
+		_ = p.Chan.DownQ(q, uchan.Msg{Op: blkproxy.OpComplete, Data: data,
 			Args: [6]uint64{comp.Tag, uint64(comp.Status), 0, 0, p.qep[q]}})
 		return
 	}
@@ -1313,7 +1321,8 @@ func (p *Process) flushBlkCompQ(q int) {
 	if len(p.blkComp[q]) == 0 {
 		return
 	}
-	data := blkproxy.EncodeBlkBatch(p.blkComp[q])
+	var buf [blkproxy.MaxBlkBatchLen]byte
+	data := blkproxy.AppendBlkBatch(buf[:0], p.blkComp[q])
 	p.blkComp[q] = p.blkComp[q][:0]
 	p.QueueAccts[q].Charge(sim.Copy(len(data)))
 	p.BlkBatches++
@@ -1367,9 +1376,7 @@ func (wk *umlWifiKernel) NetifRx(frame []byte) {
 		return
 	}
 	p.Acct.Charge(sim.CostUMLCall + sim.Copy(len(frame)))
-	buf := make([]byte, len(frame))
-	copy(buf, frame)
-	_ = p.Chan.Down(uchan.Msg{Op: wifiproxy.OpNetifRx, Data: buf})
+	_ = p.Chan.Down(uchan.Msg{Op: wifiproxy.OpNetifRx, Data: frame})
 }
 
 func (wk *umlWifiKernel) ScanDone(results []api.BSS) {
@@ -1499,12 +1506,11 @@ func (nk *umlNetKernel) NetifRx(frame []byte, q int) {
 		_ = p.Chan.DownQ(q, uchan.Msg{Op: ethproxy.OpNetifRx, Args: [6]uint64{uint64(iova), uint64(len(frame))}})
 		return
 	}
-	// Fallback: bounce through an inline copy in the message.
+	// Fallback: bounce through an inline copy in the message, which the
+	// ring makes.
 	p.BouncedRx++
 	p.QueueAccts[q].Charge(sim.Copy(len(frame)))
-	buf := make([]byte, len(frame))
-	copy(buf, frame)
-	_ = p.Chan.DownQ(q, uchan.Msg{Op: ethproxy.OpNetifRx, Data: buf,
+	_ = p.Chan.DownQ(q, uchan.Msg{Op: ethproxy.OpNetifRx, Data: frame,
 		Args: [6]uint64{0, uint64(len(frame))}})
 }
 
@@ -1514,7 +1520,8 @@ func (p *Process) flushRxBatchQ(q int) {
 	if len(p.rxBatch[q]) == 0 {
 		return
 	}
-	data := ethproxy.EncodeRxBatch(p.rxBatch[q])
+	var buf [ethproxy.MaxRxBatchLen]byte
+	data := ethproxy.AppendRxBatch(buf[:0], p.rxBatch[q])
 	p.rxBatch[q] = p.rxBatch[q][:0]
 	p.QueueAccts[q].Charge(sim.Copy(len(data)))
 	p.RxBatches++

@@ -66,9 +66,11 @@ func AppendSlot(dst []byte, queue int, m Msg) []byte {
 
 // DecodeSlot unmarshals ring-slot bytes written by the (untrusted) peer. It
 // never panics on arbitrary input; malformed slots return an error. The
-// payload is copied out: the bytes stay in shared memory the driver can
-// rewrite, so the kernel works only on its own copy (§3.1.1).
-func DecodeSlot(buf []byte) (queue int, m Msg, err error) {
+// payload is copied out, into dst's storage (m.Data is dst[:0] extended):
+// the bytes stay in shared memory the driver can rewrite, so the kernel
+// works only on its own copy (§3.1.1). A slot without payload leaves
+// m.Data nil.
+func DecodeSlot(dst, buf []byte) (queue int, m Msg, err error) {
 	if len(buf) < slotHeaderLen {
 		return 0, Msg{}, ErrSlotShort
 	}
@@ -90,8 +92,7 @@ func DecodeSlot(buf []byte) (queue int, m Msg, err error) {
 		m.Args[i] = binary.LittleEndian.Uint64(buf[12+8*i : 20+8*i])
 	}
 	if dlen > 0 {
-		m.Data = make([]byte, dlen)
-		copy(m.Data, buf[slotHeaderLen:slotHeaderLen+int(dlen)])
+		m.Data = append(dst[:0], buf[slotHeaderLen:slotHeaderLen+int(dlen)]...)
 	}
 	return queue, m, nil
 }

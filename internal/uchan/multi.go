@@ -35,6 +35,14 @@ type MultiChan struct {
 	// BadSlots counts malformed downcall slots dropped by the kernel-side
 	// decoder (an untrusted driver scribbling on its rings).
 	BadSlots uint64
+
+	// slotBufs is the free list DecodeSlot's copies come from: a decoded
+	// slot takes one and gives it back when the kernel handler returns. A
+	// handler that re-enters the flush (a synchronous Send flushes the
+	// downcalls its upcall produced) decodes into a buffer of its own,
+	// because the outer one is still out. Buffers grow to the largest
+	// payload they have carried.
+	slotBufs [][]byte
 }
 
 // NewMulti creates a channel with one ring pair per driver-side account in
@@ -124,22 +132,32 @@ const opEncodedSlot = ^uint32(0)
 // SetKernelHandler installs the kernel-side downcall handler; q is the ring
 // the downcall arrived on. On multi-queue channels the ring carries raw
 // slot bytes the untrusted driver wrote; they are decoded here — at the
-// kernel-side dequeue — and malformed or queue-spoofed slots are dropped
-// and counted, never dispatched.
+// kernel-side dequeue, into a buffer from slotBufs that returns when h
+// does — and malformed or queue-spoofed slots are dropped and counted,
+// never dispatched.
 func (mc *MultiChan) SetKernelHandler(h func(q int, m Msg)) {
 	for i, c := range mc.queues {
 		q := i
 		c.KernelHandler = func(m Msg) {
-			if m.Op == opEncodedSlot {
-				dq, dm, err := DecodeSlot(m.Data)
-				if err != nil || dq != q {
-					mc.BadSlots++
-					return
-				}
-				h(q, dm)
+			if m.Op != opEncodedSlot {
+				h(q, m)
 				return
 			}
-			h(q, m)
+			var buf []byte
+			if n := len(mc.slotBufs); n > 0 {
+				buf = mc.slotBufs[n-1]
+				mc.slotBufs = mc.slotBufs[:n-1]
+			}
+			dq, dm, err := DecodeSlot(buf, m.Data)
+			if err != nil || dq != q {
+				mc.BadSlots++
+			} else {
+				h(q, dm)
+			}
+			if dm.Data != nil {
+				buf = dm.Data // grown to this payload
+			}
+			mc.slotBufs = append(mc.slotBufs, buf[:0])
 		}
 	}
 	if mc.urgent != mc.queues[0] {

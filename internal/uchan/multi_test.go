@@ -1,6 +1,7 @@
 package uchan
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -30,10 +31,12 @@ func newMfix(queues int) *mfix {
 	f := &mfix{loop: loop, stats: stats, kern: stats.Account("kernel")}
 	f.mc = NewMulti(loop, f.kern, stats.QueueAccounts("driver", queues))
 	f.mc.SetDriverHandler(func(q int, m Msg) (Msg, bool) {
+		m.Data = bytes.Clone(m.Data) // valid only during the handler
 		f.served = append(f.served, servedMsg{q, m})
 		return Msg{Seq: m.Seq}, true
 	})
 	f.mc.SetKernelHandler(func(q int, m Msg) {
+		m.Data = bytes.Clone(m.Data)
 		f.down = append(f.down, servedMsg{q, m})
 	})
 	return f
@@ -307,8 +310,8 @@ func TestDownQPerQueueBatching(t *testing.T) {
 // TestDownQFlushAllocatesNothing pins the multi-queue downcall path: slot
 // bytes are written into per-ring batch storage recycled at every flush,
 // so steady-state DownQ→Flush on Q=4 allocates nothing (payload-free
-// downcalls; DecodeSlot's defensive copy of inline data is the kernel's
-// own allocation).
+// downcalls; TestNestedFlushKeepsOuterSlotData covers inline data, whose
+// defensive copy comes from the kernel's free list).
 func TestDownQFlushAllocatesNothing(t *testing.T) {
 	f := newMfix(4)
 	n := 0
@@ -352,5 +355,76 @@ func TestDownQSlotDataSurvivesRecycling(t *testing.T) {
 				t.Fatalf("round %d: downcall %d carries %q, want %q", round, i, d.m.Data, want)
 			}
 		}
+	}
+}
+
+// TestNestedFlushKeepsOuterSlotData: a kernel handler that re-enters the
+// flush on its own ring (as a synchronous Send does) gets the nested
+// downcall decoded into a buffer of its own — the outer handler's decoded
+// Data is unchanged when the nested flush returns — and once warm, the
+// round trip allocates nothing, inline payloads included.
+func TestNestedFlushKeepsOuterSlotData(t *testing.T) {
+	f := newMfix(2)
+	outer, inner := []byte("outer payload"), []byte("INNER PAYLOAD")
+	var order []uint32 // ops in delivery order, each with the right payload
+	f.mc.SetKernelHandler(func(q int, m Msg) {
+		if m.Op == 1 {
+			if err := f.mc.DownQ(q, Msg{Op: 2, Data: inner}); err != nil {
+				t.Fatal(err)
+			}
+			f.mc.Flush()
+		}
+		if want := [...][]byte{1: outer, 2: inner}[m.Op]; bytes.Equal(m.Data, want) {
+			order = append(order, m.Op)
+		}
+	})
+	order = make([]uint32, 0, 2)
+	if a := testing.AllocsPerRun(100, func() {
+		order = order[:0]
+		if err := f.mc.DownQ(1, Msg{Op: 1, Data: outer}); err != nil {
+			t.Fatal(err)
+		}
+		f.mc.Flush()
+	}); a != 0 {
+		t.Fatalf("nested flush with inline data allocates %v times", a)
+	}
+	if len(order) != 2 || order[0] != 2 || order[1] != 1 || f.mc.BadSlots != 0 {
+		t.Fatalf("delivered ops %v with the right payload (bad slots %d), want [2 1]", order, f.mc.BadSlots)
+	}
+}
+
+// TestKillInDriverHandlerWithQueuedData: a driver handler that kills its
+// process while Data-carrying upcalls wait behind it keeps its own payload
+// for the rest of the call, the queued ones are dropped unseen, and the
+// channel refuses further traffic — on one ring and on four.
+func TestKillInDriverHandlerWithQueuedData(t *testing.T) {
+	for _, queues := range []int{1, 4} {
+		t.Run(fmt.Sprintf("Q%d", queues), func(t *testing.T) {
+			f := newMfix(queues)
+			served := 0
+			f.mc.SetDriverHandler(func(q int, m Msg) (Msg, bool) {
+				served++
+				f.mc.Kill()
+				if string(m.Data) != "upcall 0" {
+					t.Errorf("after Kill the handler's payload reads %q", m.Data)
+				}
+				return Msg{Seq: m.Seq}, true
+			})
+			buf := make([]byte, 0, 16)
+			for i := 0; i < 3; i++ {
+				buf = fmt.Appendf(buf[:0], "upcall %d", i)
+				if err := f.mc.ASend(0, Msg{Op: 1, Data: buf}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			copy(buf, "XXXXXXXX") // the sender reuses its buffer at once
+			f.loop.Run()
+			if served != 1 || !f.mc.Dead() || f.mc.Pending() != 0 {
+				t.Fatalf("served %d, dead %v, pending %d", served, f.mc.Dead(), f.mc.Pending())
+			}
+			if err := f.mc.ASend(0, Msg{Data: buf}); err != ErrDead {
+				t.Fatalf("ASend after kill = %v", err)
+			}
+		})
 	}
 }

@@ -23,14 +23,24 @@
 // transport half of the kill -9 story (§4.1): the kernel side sees clean
 // errors, never a hang.
 //
+// Msg.Data follows one rule in both directions: every enqueue copies it
+// into storage the ring owns, so a sender may reuse its buffer as soon as
+// ASend, Down or DownQ returns, and a handler's Msg.Data is valid only
+// while the handler runs. A handler that needs the bytes later copies them.
+// Upcall payloads wait in a fifo.Bytes beside the upcall ring; downcall
+// payloads are written into the batch's slot storage; and a multi-queue
+// slot's payload, which the kernel must not read from shared memory twice
+// (§3.1.1), is decoded into a kernel buffer from a free list that takes it
+// back when the handler returns.
+//
 // The rings cost the host nothing in steady state, just as their virtual
-// costs are fixed per message: the upcall ring is a fifo.Queue that grows to
-// its high-water mark (never past RingSlots) and is then reused; each
-// flushed downcall batch hands its storage, slot bytes included, to the next
-// batch; the service-loop timers are owned sim.Events bound once in New; and
-// driver replies travel by value. The price is one rule for the kernel side:
-// a downcall's Msg.Data is valid only inside KernelHandler. DecodeSlot's
-// copy is the kernel's own.
+// costs are fixed per message: the upcall ring and its payload FIFO grow to
+// their high-water marks (never past RingSlots messages) and are then
+// reused; each flushed downcall batch hands its storage, slot bytes
+// included, to the next batch; the service-loop timers are owned sim.Events
+// bound once in New; and driver replies travel by value. Nothing is sized
+// at creation: every store grows on first use, so a driver start or
+// respawn pays for none of it.
 //
 // A ring pair's only always-on measurements are its counters (Stats): every
 // driver start and respawn builds Q+1 ring pairs, so a per-ring histogram
@@ -60,11 +70,14 @@ type Msg struct {
 	// addresses + lengths) — the zero-copy path for packet payloads.
 	Args [6]uint64
 	// Data is small inline payload (ioctl arguments and results). It is
-	// copied through the ring, unlike Args references.
+	// copied through the ring, unlike Args references: into ring storage
+	// at enqueue, so a handler's Data is valid only during the handler.
 	Data []byte
 
 	// urgent marks interrupt-class messages (set by ASendUrgent).
 	urgent bool
+	// ringData marks a queued upcall whose Data waits in k2uData.
+	ringData bool
 }
 
 // Tunables of the transport model.
@@ -163,7 +176,8 @@ type Chan struct {
 	DriverHandler func(Msg) (Msg, bool)
 	// KernelHandler services one downcall in kernel context. Set by the
 	// proxy driver. m.Data is valid only during the call: the batch's
-	// storage is reused once it has been delivered.
+	// storage is reused once it has been delivered. The same holds for
+	// DriverHandler's asynchronous upcalls.
 	KernelHandler func(Msg)
 	// OnDrainEnd, if set, runs in driver-process context after each batch
 	// of upcalls is serviced, before the downcall flush. SUD-UML uses it
@@ -172,12 +186,14 @@ type Chan struct {
 	// flushed here, once per drain, instead of one MMIO write per op.
 	OnDrainEnd func()
 
-	// k2u is the upcall ring. u2k collects the downcalls queued since the
-	// last flush; spare is the storage of the last delivered batch, which
-	// the next flush hands back to u2k (see flushDown).
-	k2u   fifo.Queue[Msg]
-	u2k   downBatch
-	spare downBatch
+	// k2u is the upcall ring and k2uData the payloads of its messages, in
+	// ring order. u2k collects the downcalls queued since the last flush;
+	// spare is the storage of the last delivered batch, which the next
+	// flush hands back to u2k (see flushDown).
+	k2u     fifo.Queue[Msg]
+	k2uData fifo.Bytes
+	u2k     downBatch
+	spare   downBatch
 
 	state int
 	// pollStart/pollBudget describe the current polling window; pollEv
@@ -219,8 +235,9 @@ type Chan struct {
 	stats   Stats
 }
 
-// downBatch is one downcall batch: the ring entries plus the slot bytes
-// their Data fields point into (multi-queue framing, see downSlot).
+// downBatch is one downcall batch: the ring entries plus the bytes their
+// Data fields point into (copied payloads, or the multi-queue framing of
+// downSlot).
 type downBatch struct {
 	msgs  []Msg
 	slots []byte
@@ -245,7 +262,7 @@ func (c *Chan) Pending() int { return c.k2u.Len() }
 // Kill marks the driver process dead: queues are dropped and all sends fail.
 func (c *Chan) Kill() {
 	c.dead = true
-	c.k2u = fifo.Queue[Msg]{}
+	c.k2u, c.k2uData = fifo.Queue[Msg]{}, fifo.Bytes{}
 	c.u2k, c.spare = downBatch{}, downBatch{}
 	c.loop.Cancel(&c.pollEv)
 	c.loop.Cancel(&c.wakeEv)
@@ -269,10 +286,11 @@ func (c *Chan) Poke() {
 
 // --- kernel side ------------------------------------------------------------
 
-// ASend queues an asynchronous upcall (packet transmit). It never blocks
-// the kernel: a full ring or dead process is an error the proxy translates
-// into backpressure. A sleeping driver is not woken immediately — bulk
-// upcalls ride on interrupt wakes, falling back to a deferred doorbell.
+// ASend queues an asynchronous upcall (packet transmit), copying m.Data
+// into the ring. It never blocks the kernel: a full ring or dead process is
+// an error the proxy translates into backpressure. A sleeping driver is not
+// woken immediately — bulk upcalls ride on interrupt wakes, falling back to
+// a deferred doorbell.
 func (c *Chan) ASend(m Msg) error { return c.asend(m, false) }
 
 // ASendUrgent queues an asynchronous upcall that wakes a sleeping driver
@@ -290,8 +308,12 @@ func (c *Chan) asend(m Msg, urgent bool) error {
 	}
 	c.kern.Charge(sim.CostUchanEnqueue)
 	// A hung driver never sees the urgency: its messages wait, unmarked.
-	m.urgent = urgent && !c.Hung
-	c.k2u.Push(m)
+	e := Msg{Op: m.Op, Seq: m.Seq, Args: m.Args, urgent: urgent && !c.Hung}
+	if len(m.Data) > 0 {
+		c.k2uData.Push(m.Data)
+		e.ringData = true
+	}
+	c.k2u.Push(e)
 	c.stats.Upcalls++
 	if c.Hung {
 		return nil
@@ -444,8 +466,15 @@ func (c *Chan) drain() {
 			if m.urgent {
 				sawUrgent = true
 			}
+			if m.ringData {
+				m.Data = c.k2uData.Peek()
+			}
 			if c.DriverHandler != nil {
 				c.DriverHandler(m)
+			}
+			// A handler that killed the process took the FIFO with it.
+			if m.ringData && !c.dead {
+				c.k2uData.Pop()
 			}
 		}
 		if c.OnDrainEnd != nil {
@@ -486,15 +515,23 @@ func (c *Chan) pollTimeout() {
 
 // --- driver side ------------------------------------------------------------
 
-// Down queues an asynchronous downcall (netif_rx, carrier change). Downcalls
-// batch: nothing reaches the kernel until flushDown, which the service loop
-// calls after draining upcalls — or which the SUD-UML runtime triggers
-// explicitly with Flush for driver-initiated work.
+// Down queues an asynchronous downcall (netif_rx, carrier change), copying
+// m.Data into the batch's own storage. Downcalls batch: nothing reaches the
+// kernel until flushDown, which the service loop calls after draining
+// upcalls — or which the SUD-UML runtime triggers explicitly with Flush for
+// driver-initiated work.
 func (c *Chan) Down(m Msg) error {
 	if err := c.downRoom(); err != nil {
 		return err
 	}
-	c.enqueueDown(m)
+	e := Msg{Op: m.Op, Seq: m.Seq, Args: m.Args, urgent: m.urgent}
+	if len(m.Data) > 0 {
+		start := len(c.u2k.slots)
+		c.u2k.slots = append(c.u2k.slots, m.Data...)
+		end := len(c.u2k.slots)
+		e.Data = c.u2k.slots[start:end:end]
+	}
+	c.enqueueDown(e)
 	return nil
 }
 
@@ -537,12 +574,14 @@ func (c *Chan) enqueueDown(m Msg) {
 // doorbell for the whole batch.
 func (c *Chan) Flush() { c.flushDown() }
 
-// flushDown delivers the queued batch. Its storage comes back as spare once
+// flushDown delivers the queued batch. Its storage comes back once
 // delivered, so steady-state batching allocates nothing. The kernel handler
 // may re-enter (a synchronous Send flushes the downcalls its upcall
 // produced): the nested flush delivers them at once, in the middle of this
 // batch, and the batch it swaps in is fresh, because spare is out on loan
-// until this flush returns.
+// until this flush returns. A batch's storage returns as spare, or — when
+// nothing was queued into fresh storage meanwhile — as the next batch, so
+// nested flushes lose none.
 func (c *Chan) flushDown() {
 	if len(c.u2k.msgs) == 0 || c.dead {
 		return
@@ -561,7 +600,12 @@ func (c *Chan) flushDown() {
 		}
 	}
 	clear(batch.msgs)
-	c.spare = downBatch{msgs: batch.msgs[:0], slots: batch.slots[:0]}
+	done := downBatch{msgs: batch.msgs[:0], slots: batch.slots[:0]}
+	if cap(c.u2k.msgs) == 0 {
+		c.u2k = done
+	} else {
+		c.spare = done
+	}
 }
 
 // SDown performs a synchronous downcall: the driver needs the kernel's

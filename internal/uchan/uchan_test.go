@@ -1,6 +1,8 @@
 package uchan
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 
 	"sud/internal/sim"
@@ -28,6 +30,7 @@ func newFixture() *fixture {
 	}
 	f.c = New(loop, f.kern, f.drv)
 	f.c.DriverHandler = func(m Msg) (Msg, bool) {
+		m.Data = bytes.Clone(m.Data) // valid only during the handler
 		f.served = append(f.served, m)
 		if r, ok := f.replies[m.Op]; ok {
 			r.Seq = m.Seq
@@ -35,7 +38,10 @@ func newFixture() *fixture {
 		}
 		return Msg{Seq: m.Seq}, true
 	}
-	f.c.KernelHandler = func(m Msg) { f.down = append(f.down, m) }
+	f.c.KernelHandler = func(m Msg) {
+		m.Data = bytes.Clone(m.Data)
+		f.down = append(f.down, m)
+	}
 	return f
 }
 
@@ -418,5 +424,86 @@ func TestReentrantFlushDeliversInOrder(t *testing.T) {
 	}
 	if st := f.c.Stats(); st.Doorbells != 6 {
 		t.Fatalf("doorbells = %d, want 2 per round", st.Doorbells)
+	}
+}
+
+// TestSendersReuseBuffersAtOnce: ASend and Down copy Data into the ring,
+// so a sender that rewrites its buffer right after each call does not
+// change what the handler sees — for several messages queued at once in
+// either direction.
+func TestSendersReuseBuffersAtOnce(t *testing.T) {
+	f := newFixture()
+	buf := make([]byte, 0, 16)
+	f.c.DriverHandler = func(m Msg) (Msg, bool) {
+		f.served = append(f.served, Msg{Op: m.Op, Data: bytes.Clone(m.Data)})
+		for i := 0; i < 2; i++ {
+			buf = fmt.Appendf(buf[:0], "down %d.%d", m.Op, i)
+			if err := f.c.Down(Msg{Op: 100, Data: buf}); err != nil {
+				t.Fatal(err)
+			}
+			copy(buf, "XXXX")
+		}
+		return Msg{Seq: m.Seq}, true
+	}
+	for i := uint32(0); i < 3; i++ {
+		buf = fmt.Appendf(buf[:0], "up %d", i)
+		if err := f.c.ASend(Msg{Op: i, Data: buf}); err != nil {
+			t.Fatal(err)
+		}
+		copy(buf, "XXXX")
+	}
+	f.loop.Run()
+	if len(f.served) != 3 || len(f.down) != 6 {
+		t.Fatalf("served %d upcalls, %d downcalls", len(f.served), len(f.down))
+	}
+	for i, m := range f.served {
+		if want := fmt.Sprintf("up %d", i); string(m.Data) != want {
+			t.Fatalf("upcall %d carries %q, want %q", i, m.Data, want)
+		}
+	}
+	for i, m := range f.down {
+		if want := fmt.Sprintf("down %d.%d", i/2, i%2); string(m.Data) != want {
+			t.Fatalf("downcall %d carries %q, want %q", i, m.Data, want)
+		}
+	}
+}
+
+// TestDataRoundTripAllocatesNothing pins payload-carrying messages on the
+// single-ring path: an upcall with Data is drained, its handler answers
+// with a Data-carrying downcall that is flushed to the kernel, and each
+// sender reuses its buffer at once. Once warm, nothing is allocated.
+func TestDataRoundTripAllocatesNothing(t *testing.T) {
+	f := newFixture()
+	up, down := []byte("upcall payload"), []byte("downcall payload")
+	upBuf := make([]byte, len(up))
+	var bad int
+	f.c.DriverHandler = func(m Msg) (Msg, bool) {
+		if !bytes.Equal(m.Data, up) {
+			bad++
+		}
+		if err := f.c.Down(Msg{Op: 100, Data: down}); err != nil {
+			t.Fatal(err)
+		}
+		return Msg{Seq: m.Seq}, true
+	}
+	delivered := 0
+	f.c.KernelHandler = func(m Msg) {
+		delivered++
+		if !bytes.Equal(m.Data, down) {
+			bad++
+		}
+	}
+	if a := testing.AllocsPerRun(200, func() {
+		copy(upBuf, up)
+		if err := f.c.ASend(Msg{Op: 1, Data: upBuf}); err != nil {
+			t.Fatal(err)
+		}
+		clear(upBuf)
+		f.loop.Run()
+	}); a != 0 {
+		t.Fatalf("a Data round trip allocates %v times", a)
+	}
+	if delivered != 201 || bad != 0 {
+		t.Fatalf("delivered %d, %d payloads wrong", delivered, bad)
 	}
 }
