@@ -18,8 +18,8 @@ package api
 //
 // The Queue* methods are the surgical variants from the per-queue
 // confinement plane: exactly one queue's DMA sub-domain was revoked, so
-// exactly that queue parks, bumps its own epoch, and replays, while
-// siblings — and the driver process itself — keep running.
+// exactly that queue parks and bumps its own epoch, while siblings — and
+// the driver process itself — keep running.
 type RecoverableDevice interface {
 	// Epoch is the device's driver-incarnation counter; it advances on
 	// every device-wide recovery (and on quarantine). Proxies record the
@@ -40,9 +40,10 @@ type RecoverableDevice interface {
 	// device-wide recovery subsumes it.
 	BeginQueueRecovery(q int)
 	// CompleteQueueRecovery releases a surgically parked queue after its
-	// sub-domain is re-armed and replays that queue's shadow log,
-	// returning the replayed count. It is an error during a device-wide
-	// recovery.
+	// sub-domain is re-armed, returning the replayed count. A block device
+	// replays the queue's request log; a network interface replays
+	// nothing, because the surviving driver still owns the transmits
+	// queued to it. It is an error during a device-wide recovery.
 	CompleteQueueRecovery(q int) (int, error)
 
 	// CompleteRecovery finishes a device-wide recovery after adoption:

@@ -46,9 +46,6 @@ type Driver struct {
 	pageFlip bool
 }
 
-// New returns the driver module (single I/O queue pair).
-func New() api.Driver { return Driver{queues: 1} }
-
 // NewQ returns the driver module configured for up to n I/O queue pairs; at
 // probe the count is clamped to what the bound controller reports in CAP,
 // so a mismatch degrades to fewer queues instead of failed queue creation.

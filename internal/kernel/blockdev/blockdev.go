@@ -236,12 +236,6 @@ func (m *Manager) RegisterStandby(name string, geom api.BlockGeometry, drv api.B
 // UnregisterStandby disarms a pre-registered standby.
 func (m *Manager) UnregisterStandby(name string) { delete(m.standbys, name) }
 
-// HasStandby reports whether a hot standby is armed for name.
-func (m *Manager) HasStandby(name string) bool {
-	_, ok := m.standbys[name]
-	return ok
-}
-
 // PromoteStandby binds the pre-registered standby driver to name's
 // recovering device: the failover half of adoption. The device must be
 // awaiting adoption (its driver died under supervision); the standby's
@@ -316,15 +310,6 @@ func (m *Manager) Dev(name string) (*Dev, error) {
 	return d, nil
 }
 
-// Names lists registered devices.
-func (m *Manager) Names() []string {
-	var out []string
-	for n := range m.devs {
-		out = append(out, n)
-	}
-	return out
-}
-
 // QueueCtx is one per-queue context of a block device: its own stall state,
 // its own software request queue, and its own counters. Splitting this
 // state per queue is what lets one full hardware queue park only the
@@ -357,10 +342,6 @@ type QueueCtx struct {
 
 // Stalled reports the queue's backpressure state (tests and pacing logic).
 func (qc *QueueCtx) Stalled() bool { return qc.stalled }
-
-// Recovering reports whether this one queue is parked by a surgical
-// recovery while its siblings keep flowing.
-func (qc *QueueCtx) Recovering() bool { return qc.recovering }
 
 // Waiting reports the software queue depth.
 func (qc *QueueCtx) Waiting() int { return qc.waiting.Len() }

@@ -92,13 +92,6 @@ func New(stack *netstack.Stack, ifc *netstack.Iface, cfg Config) (*Server, error
 	return s, nil
 }
 
-// Close releases the tenant sockets.
-func (s *Server) Close() {
-	for _, tn := range s.tenants {
-		s.stack.UDPClose(tn.Port)
-	}
-}
-
 // Tenant returns shard t.
 func (s *Server) Tenant(t int) *Tenant { return s.tenants[t] }
 

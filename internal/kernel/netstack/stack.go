@@ -41,11 +41,6 @@ type Stack struct {
 	// awaiting adoption by the restarted driver's registration.
 	adopting map[string]*Iface
 
-	// standbys holds hot-standby drivers pre-registered for a live
-	// interface (the failover half of adoption): the MAC identity check
-	// adoption performs at restart time runs at arm time instead.
-	standbys map[string]api.NetDevice
-
 	// Firewall, if set, inspects every received frame; returning false
 	// drops it. It runs before payload delivery, like a netfilter hook.
 	// Like a socket payload, frame is valid only during the call.
@@ -73,7 +68,6 @@ func New(loop *sim.Loop, acct *sim.CPUAccount) *Stack {
 		udp:      make(map[uint16]*UDPSock),
 		tcp:      make(map[uint16]*TCPReceiver),
 		adopting: make(map[string]*Iface),
-		standbys: make(map[string]api.NetDevice),
 		txBufs:   fifo.NewBuffers(MaxFrameLen),
 	}
 }
@@ -91,9 +85,8 @@ type IfaceQueue struct {
 	// Surgical recovery state: the supervisor quarantined this one queue
 	// pair (its DMA sub-domain revoked) while siblings keep flowing.
 	// Epoch is the queue's own incarnation counter; recovering stops TX
-	// on this queue and drops its RX deliveries (packets are
-	// fire-and-forget — there is nothing to replay). ParkedRxDrops
-	// counts frames dropped while parked.
+	// on this queue and drops its RX deliveries. ParkedRxDrops counts
+	// frames dropped while parked.
 	Epoch         uint64
 	recovering    bool
 	ParkedRxDrops uint64
@@ -161,7 +154,7 @@ var ErrNameTaken = fmt.Errorf("netstack: interface name already registered")
 // Devices implementing api.MultiQueueNetDevice get one queue context per
 // hardware queue; everything else gets exactly one. If an interface is
 // awaiting adoption (its supervised driver died) and the registration
-// matches it by name or hardware address, the existing interface object is
+// matches its name and hardware address, the existing interface object is
 // adopted instead: sockets and application handles survive the restart.
 func (s *Stack) Register(name string, macAddr [6]byte, dev api.NetDevice) (*Iface, error) {
 	if ifc := s.adopt(name, macAddr); ifc != nil {
@@ -214,7 +207,6 @@ func (s *Stack) Unregister(name string) {
 	}
 	delete(s.ifaces, name)
 	delete(s.adopting, name)
-	delete(s.standbys, name)
 }
 
 // BeginRecovery marks name's interface as recovering: its driver process
@@ -250,76 +242,19 @@ func (s *Stack) BeginRecovery(name string) (*Iface, error) {
 	return ifc, nil
 }
 
-// adopt matches a registration against the adoption table: exact name
-// first, then hardware address (the driver read it back from the same
-// device's EEPROM, so it identifies the interface across a rename).
+// adopt matches a registration against the adoption table by exact name;
+// the mirrored hardware address must also agree — a driver for another NIC
+// is not the same interface and must not inherit its sockets. A recovering
+// interface keeps its name in the interface table, so the proxy's
+// registration retry walks the uniquing template onto it.
 func (s *Stack) adopt(name string, macAddr [6]byte) *Iface {
 	ifc, ok := s.adopting[name]
-	if !ok {
-		for n, cand := range s.adopting {
-			if cand.MAC == MAC(macAddr) {
-				ifc, name, ok = cand, n, true
-				break
-			}
-		}
-	}
 	if !ok || ifc.MAC != MAC(macAddr) {
 		return nil
 	}
 	delete(s.adopting, name)
 	ifc.Flight.Recordf(trace.FAdopt, "%s adopted by restarted driver", name)
 	return ifc
-}
-
-// RegisterStandby pre-registers a hot-standby driver for the named live
-// interface — before any kill. The MAC identity check that protects
-// adoption runs now: a standby claiming a different hardware address is
-// not a driver for this interface.
-func (s *Stack) RegisterStandby(name string, macAddr [6]byte, dev api.NetDevice) error {
-	ifc, ok := s.ifaces[name]
-	if !ok {
-		return fmt.Errorf("netstack: no interface %q to stand by for", name)
-	}
-	if ifc.MAC != MAC(macAddr) {
-		return fmt.Errorf("netstack: standby MAC does not match %s", name)
-	}
-	if _, dup := s.standbys[name]; dup {
-		return fmt.Errorf("netstack: interface %q already has a standby", name)
-	}
-	s.standbys[name] = dev
-	return nil
-}
-
-// UnregisterStandby disarms a pre-registered standby.
-func (s *Stack) UnregisterStandby(name string) { delete(s.standbys, name) }
-
-// HasStandby reports whether a hot standby is armed for name.
-func (s *Stack) HasStandby(name string) bool {
-	_, ok := s.standbys[name]
-	return ok
-}
-
-// PromoteStandby binds the pre-registered standby driver to name's
-// recovering interface: the failover half of adoption. The interface must
-// be awaiting adoption (its driver died under supervision).
-func (s *Stack) PromoteStandby(name string) (*Iface, error) {
-	dev, ok := s.standbys[name]
-	if !ok {
-		return nil, fmt.Errorf("netstack: no standby armed for %q", name)
-	}
-	ifc, ok := s.adopting[name]
-	if !ok {
-		return nil, fmt.Errorf("netstack: interface %q is not awaiting adoption", name)
-	}
-	delete(s.standbys, name)
-	delete(s.adopting, name)
-	ifc.dev = dev
-	ifc.mqdev = nil
-	if mq, ok := dev.(api.MultiQueueNetDevice); ok {
-		ifc.mqdev = mq
-	}
-	ifc.Flight.Recordf(trace.FAdopt, "%s adopted by promoted standby", name)
-	return ifc, nil
 }
 
 // Quarantine bars name's driver while letting the interface survive:
@@ -332,7 +267,6 @@ func (s *Stack) Quarantine(name string) {
 		return
 	}
 	delete(s.adopting, name)
-	delete(s.standbys, name)
 	ifc.recovering = false
 	ifc.up = false
 	ifc.carrier = false
@@ -399,9 +333,9 @@ func (ifc *Iface) QueueRecovering(q int) bool { return ifc.queues[ifc.clampQ(q)]
 // BeginQueueRecovery parks exactly one queue pair: the supervisor detected
 // DMA faults attributable to queue q and revoked that queue's sub-domain,
 // while the driver process — and every sibling queue — stays up. TX holds
-// stopped on this queue, its RX deliveries are dropped (there is no packet
-// replay: network loss is the transport's problem), and the queue's own
-// epoch is bumped. Idempotent; a device-wide recovery subsumes it.
+// stopped on this queue, its RX deliveries are dropped (the transport
+// retransmits), and the queue's own epoch is bumped. Idempotent; a
+// device-wide recovery subsumes it.
 func (ifc *Iface) BeginQueueRecovery(q int) {
 	if ifc.recovering {
 		return
@@ -418,11 +352,12 @@ func (ifc *Iface) BeginQueueRecovery(q int) {
 }
 
 // CompleteQueueRecovery releases a surgically parked queue after its DMA
-// sub-domain is re-armed: TX wakes on this one queue, its shadow TX log
-// replays through the live driver (frames the quarantined queue incarnation
-// swallowed), and RX flows again. Siblings never noticed. It returns the
-// replayed frame count, and an error while a device-wide recovery is in
-// progress.
+// sub-domain is re-armed: TX wakes on this one queue and RX flows again.
+// Siblings never noticed. Nothing is replayed: the driver process survived,
+// so the transmits it still holds are its own to send and credit, and their
+// shadow log entries stay until those credits confirm them. It returns the
+// replayed frame count — always zero — and an error while a device-wide
+// recovery is in progress.
 func (ifc *Iface) CompleteQueueRecovery(q int) (int, error) {
 	if ifc.recovering {
 		return 0, fmt.Errorf("netstack: %s is in device-wide recovery", ifc.Name)
@@ -435,7 +370,7 @@ func (ifc *Iface) CompleteQueueRecovery(q int) (int, error) {
 	ifc.Flight.Recordf(trace.FReplay, "%s q%d epoch %d: queue re-armed, TX released",
 		ifc.Name, qc.ID, qc.Epoch)
 	ifc.wakeQueue(qc.ID)
-	return ifc.replayTx(qc.ID), nil
+	return 0, nil
 }
 
 // CompleteRecovery finishes a shadow recovery after the restarted driver has

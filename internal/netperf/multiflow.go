@@ -289,12 +289,6 @@ func (r MultiFlowResult) String() string {
 	return b.String()
 }
 
-// MultiFlow runs K concurrent 64-byte UDP transmit flows (DirTX) — see
-// MultiFlowDir.
-func MultiFlow(tb *MultiFlowTestbed, flows int, opt Options) (MultiFlowResult, error) {
-	return MultiFlowDir(tb, flows, DirTX, opt)
-}
-
 // MultiFlowDir runs K concurrent 64-byte UDP flows in the given direction
 // and reports aggregate throughput plus per-queue transport rates.
 //

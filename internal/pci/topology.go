@@ -247,9 +247,6 @@ func (p rootPort) Upstream(tlp TLP) Completion {
 	return p.rc.Handler.HandleUpstream(tlp)
 }
 
-// Root returns the switch directly below the root complex.
-func (rc *RootComplex) Root() *Switch { return rc.root }
-
 // Devices enumerates every device in the fabric.
 func (rc *RootComplex) Devices() []Device { return rc.root.Devices() }
 

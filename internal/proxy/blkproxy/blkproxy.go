@@ -212,6 +212,39 @@ type KernelIface struct {
 // device name is taken, the next free name is allocated, as the kernel's
 // block core does — so several storage driver processes coexist.
 func New(ki *KernelIface, df *pciaccess.DeviceFile, c *uchan.MultiChan, name string, geom api.BlockGeometry) (*Proxy, error) {
+	p, err := newProxy(ki, df, c, geom)
+	if err != nil {
+		return nil, err
+	}
+	dev, err := registerUnique(ki.Blk, name, geom, (*proxyDev)(p))
+	if err != nil {
+		return nil, err
+	}
+	p.Bind(dev)
+	return p, nil
+}
+
+// NewStandby builds a proxy for a hot-standby driver process and
+// pre-registers it with the block core for the named LIVE device — before
+// any kill. The shared-slot pools are allocated (and their IOMMU mappings
+// established) now, at arm time; what is deferred to promotion is only the
+// binding to the device object, because the device's epoch at failover
+// does not exist yet. The geometry identity check runs here, inside
+// RegisterStandby.
+func NewStandby(ki *KernelIface, df *pciaccess.DeviceFile, c *uchan.MultiChan, name string, geom api.BlockGeometry) (*Proxy, error) {
+	p, err := newProxy(ki, df, c, geom)
+	if err != nil {
+		return nil, err
+	}
+	if err := ki.Blk.RegisterStandby(name, geom, (*proxyDev)(p)); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// newProxy builds an unbound proxy: one slot pool per queue, every slot
+// free.
+func newProxy(ki *KernelIface, df *pciaccess.DeviceFile, c *uchan.MultiChan, geom api.BlockGeometry) (*Proxy, error) {
 	q := c.NumQueues()
 	p := &Proxy{
 		K: ki, DF: df, C: c,
@@ -222,6 +255,7 @@ func New(ki *KernelIface, df *pciaccess.DeviceFile, c *uchan.MultiChan, name str
 		QueueComps:     make([]uint64, q),
 		QueueBatches:   make([]uint64, q),
 		pendingRecycle: make([][]uint64, q),
+		qepoch:         make([]uint64, q),
 		guardBufs:      fifo.NewBuffers(geom.BlockSize),
 	}
 	for i := 0; i < q; i++ {
@@ -240,62 +274,14 @@ func New(ki *KernelIface, df *pciaccess.DeviceFile, c *uchan.MultiChan, name str
 			p.free[i] = append(p.free[i], s)
 		}
 	}
-	dev, err := registerUnique(ki.Blk, name, geom, (*proxyDev)(p))
-	if err != nil {
-		return nil, err
-	}
-	ki.DevName = dev.Name
-	p.Dev = dev
-	p.epoch = dev.Epoch()
-	p.qepoch = make([]uint64, q)
-	for i := range p.qepoch {
-		p.qepoch[i] = dev.QueueEpoch(i)
-	}
 	return p, nil
 }
 
-// NewStandby builds a proxy for a hot-standby driver process and
-// pre-registers it with the block core for the named LIVE device — before
-// any kill. The shared-slot pools are allocated (and their IOMMU mappings
-// established) now, at arm time; what is deferred to promotion is only the
-// binding to the device object, because the device's epoch at failover
-// does not exist yet. The geometry identity check runs here, inside
-// RegisterStandby.
-func NewStandby(ki *KernelIface, df *pciaccess.DeviceFile, c *uchan.MultiChan, name string, geom api.BlockGeometry) (*Proxy, error) {
-	q := c.NumQueues()
-	p := &Proxy{
-		K: ki, DF: df, C: c,
-		pools:          make([]*pciaccess.Alloc, q),
-		free:           make([][]int, q),
-		stalled:        make([]bool, q),
-		tagSlot:        make(map[uint64]int),
-		QueueComps:     make([]uint64, q),
-		QueueBatches:   make([]uint64, q),
-		pendingRecycle: make([][]uint64, q),
-		guardBufs:      fifo.NewBuffers(geom.BlockSize),
-	}
-	for i := 0; i < q; i++ {
-		pool, err := df.AllocDMAQ(SlotsPerQueue*geom.BlockSize,
-			fmt.Sprintf("blk q%d slot pool", i), false, i+1)
-		if err != nil {
-			return nil, fmt.Errorf("blkproxy: allocating standby queue %d pool: %w", i, err)
-		}
-		p.pools[i] = pool
-		for s := 0; s < SlotsPerQueue; s++ {
-			p.free[i] = append(p.free[i], s)
-		}
-	}
-	p.qepoch = make([]uint64, q)
-	if err := ki.Blk.RegisterStandby(name, geom, (*proxyDev)(p)); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-// Bind attaches a promoted standby proxy to the device it now backs. It
-// must run after the block core's PromoteStandby — the device's epoch has
-// already been bumped by the primary's death, so the standby binds to the
-// NEW incarnation and the dead primary's proxy stays stale.
+// Bind attaches the proxy to the device it backs, at the device's current
+// epochs. A promoted standby binds after the block core's PromoteStandby —
+// the device's epoch has already been bumped by the primary's death, so the
+// standby binds to the NEW incarnation and the dead primary's proxy stays
+// stale.
 func (p *Proxy) Bind(dev *blockdev.Dev) {
 	p.Dev = dev
 	p.epoch = dev.Epoch()
@@ -796,24 +782,6 @@ func (p *Proxy) flushRecycleQ(q int) {
 	}
 }
 
-// FlushRecycle forces every queue's pending flipped pages back to the driver
-// regardless of threshold (tests, teardown).
-func (p *Proxy) FlushRecycle() {
-	for q := range p.pendingRecycle {
-		p.flushRecycleQ(q)
-	}
-}
-
-// PendingRecyclePages reports pages flipped but not yet recycled, summed
-// across queues.
-func (p *Proxy) PendingRecyclePages() int {
-	n := 0
-	for _, pr := range p.pendingRecycle {
-		n += len(pr)
-	}
-	return n
-}
-
 // failRead completes a request as an I/O error after a rejected reference;
 // the slot is still released so a malicious driver cannot leak pool space.
 // A tag not in flight (completed twice) is dropped and counted instead.
@@ -876,23 +844,6 @@ func (p *Proxy) maybeWakeQueue(q int) {
 	}
 	p.stalled[q] = false
 	p.Dev.WakeQueueQ(q)
-}
-
-// FreeSlots reports the pool headroom across all queues (tests).
-func (p *Proxy) FreeSlots() int {
-	n := 0
-	for _, f := range p.free {
-		n += len(f)
-	}
-	return n
-}
-
-// QueueFreeSlots reports one queue's slot headroom.
-func (p *Proxy) QueueFreeSlots(q int) int {
-	if q < 0 || q >= len(p.free) {
-		return 0
-	}
-	return len(p.free[q])
 }
 
 // Pools returns the per-queue slot-pool allocations (sudctl's IOMMU-domain

@@ -228,56 +228,6 @@ func New(ki *KernelIface, df *pciaccess.DeviceFile, c *uchan.MultiChan, name str
 	return p, nil
 }
 
-// NewStandby builds a proxy for a hot-standby driver process and
-// pre-registers it with the netstack for the named LIVE interface — before
-// any kill. The TX shared pool is allocated at arm time; only the binding
-// to the interface object (whose failover epoch does not exist yet) is
-// deferred to promotion. The MAC identity check runs here, inside
-// RegisterStandby.
-func NewStandby(ki *KernelIface, df *pciaccess.DeviceFile, c *uchan.MultiChan, name string, mac [6]byte) (*Proxy, error) {
-	q := c.NumQueues()
-	pools, err := allocTxPools(df, q)
-	if err != nil {
-		return nil, fmt.Errorf("ethproxy: allocating standby TX pool: %w", err)
-	}
-	p := &Proxy{
-		K: ki, DF: df, C: c, pools: pools,
-		perQueue:       TxSlots / q,
-		free:           make([][]int, q),
-		stalled:        make([]bool, q),
-		RxQueueFrames:  make([]uint64, q),
-		RxQueueBatches: make([]uint64, q),
-		pendingRecycle: make([][]uint64, q),
-		lent:           make([]map[uint64]bool, q),
-		guardBufs:      fifo.NewBuffers(maxFrame),
-	}
-	for i := range p.lent {
-		p.lent[i] = make(map[uint64]bool)
-	}
-	for i := 0; i < p.perQueue*q; i++ {
-		qi := i / p.perQueue
-		p.free[qi] = append(p.free[qi], i)
-	}
-	p.qepoch = make([]uint64, q)
-	if err := ki.Net.RegisterStandby(name, mac, (*proxyDev)(p)); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-// Bind attaches a promoted standby proxy to the interface it now backs. It
-// must run after the netstack's PromoteStandby — the interface epoch has
-// already been bumped by the primary's death, so the standby binds to the
-// NEW incarnation and the dead primary's proxy stays stale.
-func (p *Proxy) Bind(ifc *netstack.Iface) {
-	p.Ifc = ifc
-	p.epoch = ifc.Epoch()
-	for i := range p.qepoch {
-		p.qepoch[i] = ifc.QueueEpoch(i)
-	}
-	p.K.IfaceNm = ifc.Name
-}
-
 // StaleEpochDowncalls is the policy plane's zombie-incarnation evidence:
 // downcalls this proxy rejected because the interface moved on to a newer
 // driver incarnation.
@@ -515,10 +465,8 @@ func (p *Proxy) HandleDowncall(q int, m uchan.Msg) {
 			for _, f := range p.free[sq] {
 				if f == slot {
 					// A credit for a slot already free: a confused or
-					// malicious driver, or a late credit from a queue
-					// incarnation whose slots RearmQueue reclaimed.
-					// Crediting it again would hand one slot to two
-					// frames.
+					// malicious driver. Crediting it again would hand
+					// one slot to two frames.
 					p.UpcallErrors++
 					return
 				}
@@ -578,22 +526,17 @@ func (p *Proxy) ParkQueue(q int) {
 }
 
 // RearmQueue re-syncs this proxy with queue q's new incarnation after a
-// surgical quarantine. TX slots the dead incarnation still held are
-// reclaimed (frames are fire-and-forget; losing them is a transport
-// problem, leaking the slots is not), flipped pages parked on the queue's
-// recycle lane are flushed back to the driver (its sub-domain is re-armed
-// by now), the epoch mirror adopts the queue's new epoch, and an
-// OpQueueEpoch armed frame tells the runtime to drop work held for the dead
-// incarnation.
+// surgical quarantine: flipped pages parked on the queue's recycle lane are
+// flushed back to the driver (its sub-domain is re-armed by now), the epoch
+// mirror adopts the queue's new epoch, and an OpQueueEpoch armed frame
+// re-syncs the runtime. TX slots are left alone: the driver process
+// survived, and the transmits queued ahead of the park frame are still its
+// own to send and credit. The revoke and the re-arm run in one loop event,
+// so no device DMA ran in between.
 func (p *Proxy) RearmQueue(q int) {
 	if q < 0 || q >= len(p.qepoch) {
 		return
 	}
-	p.free[q] = p.free[q][:0]
-	for i := q * p.perQueue; i < (q+1)*p.perQueue; i++ {
-		p.free[q] = append(p.free[q], i)
-	}
-	p.stalled[q] = false
 	p.flushRecycleQ(q)
 	p.qepoch[q] = p.Ifc.QueueEpoch(q)
 	err := p.C.ASend(q, uchan.Msg{Op: OpQueueEpoch,
@@ -722,12 +665,4 @@ func (p *Proxy) FreeTxSlots() int {
 		n += len(f)
 	}
 	return n
-}
-
-// QueueFreeSlots reports one queue's slot headroom.
-func (p *Proxy) QueueFreeSlots(q int) int {
-	if q < 0 || q >= len(p.free) {
-		return 0
-	}
-	return len(p.free[q])
 }

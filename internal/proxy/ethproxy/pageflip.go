@@ -183,21 +183,3 @@ func (p *Proxy) flushRecycleQ(q int) {
 		p.RecycleUpcalls++
 	}
 }
-
-// FlushRecycle forces every queue's pending flipped pages back to the driver
-// regardless of threshold (tests, teardown).
-func (p *Proxy) FlushRecycle() {
-	for q := range p.pendingRecycle {
-		p.flushRecycleQ(q)
-	}
-}
-
-// PendingRecyclePages reports pages flipped but not yet recycled, summed
-// across queues (recovery tests assert this drains or is reclaimed).
-func (p *Proxy) PendingRecyclePages() int {
-	n := 0
-	for _, pr := range p.pendingRecycle {
-		n += len(pr)
-	}
-	return n
-}

@@ -30,8 +30,9 @@ import (
 //   - restart with exponential backoff: the driver is crash-looping, pace
 //     the respawns so a probe-time crasher cannot burn the whole budget
 //     inside one health-check period;
-//   - failover: promote the pre-spawned hot standby (ArmStandby), paying
-//     probe + bring-up + replay instead of the full respawn path;
+//   - failover: promote the pre-spawned hot standby (ArmStandby, block
+//     devices only), paying probe + bring-up + replay instead of the full
+//     respawn path;
 //   - quarantine: the sliding-window restart budget is exhausted, or the
 //     evidence (flush lies, interrupt storms, stale-epoch floods) convicts
 //     the driver outright — bar it, fail the parked work cleanly, and
@@ -236,17 +237,26 @@ func (s *Supervisor) Proc() *Process { return s.proc }
 func (s *Supervisor) StandbyProc() *Process { return s.standby }
 
 // ArmStandby pre-spawns a hot-standby driver process for the supervised
-// device and pre-registers it with the kernel — before any kill — so a
-// later death is graded to failover: the standby adopts the device through
-// the same name+geometry/MAC identity checks a restarted driver would pass,
-// but with the respawn cost already sunk. After each failover a fresh
-// standby is re-armed automatically (best effort).
+// block device and pre-registers it with the block core — before any kill —
+// so a later death is graded to failover: the standby adopts the device
+// through the same name+geometry identity check a restarted driver would
+// pass, but with the respawn cost already sunk. After each failover a fresh
+// standby is re-armed automatically (best effort). Failover is block-only:
+// on a supervisor without a block device it fails before spawning anything,
+// and a net driver death is recovered by a cold respawn.
 func (s *Supervisor) ArmStandby() error {
 	if s.stopped {
 		return fmt.Errorf("sudml: supervision of %s has ended", s.Name)
 	}
+	if s.blkName == "" {
+		return fmt.Errorf("sudml: %s supervises no block device; hot standby is block-only", s.Name)
+	}
 	if s.standby != nil {
 		return nil
+	}
+	d, err := s.K.Blk.Dev(s.blkName)
+	if err != nil {
+		return err
 	}
 	name := fmt.Sprintf("%s-sb%d", s.Name, s.Restarts)
 	sb, err := StartStandbyQ(s.K, s.Dev, s.Driver, name, s.UID, s.Queues)
@@ -254,57 +264,24 @@ func (s *Supervisor) ArmStandby() error {
 		return err
 	}
 	sb.Flight = s.Flight
-	if s.blkName != "" {
-		d, err := s.K.Blk.Dev(s.blkName)
-		if err != nil {
-			sb.Kill()
-			return err
-		}
-		if err := sb.ArmBlockStandby(s.blkName, d.Geom); err != nil {
-			sb.Kill()
-			return err
-		}
-		if sb.Blk != nil {
-			sb.Blk.GuardMode = s.BlkGuard
-		}
+	if err := sb.ArmBlockStandby(s.blkName, d.Geom); err != nil {
+		sb.Kill()
+		return err
 	}
-	if s.ifName != "" {
-		ifc, err := s.K.Net.Iface(s.ifName)
-		if err != nil {
-			s.disarmKernelStandby()
-			sb.Kill()
-			return err
-		}
-		if err := sb.ArmNetStandby(s.ifName, ifc.MAC); err != nil {
-			s.disarmKernelStandby()
-			sb.Kill()
-			return err
-		}
-	}
+	sb.Blk.GuardMode = s.BlkGuard
 	s.standby = sb
 	return nil
 }
 
-// DisarmStandby kills the armed standby shell and removes its kernel
-// registrations.
+// DisarmStandby kills the armed standby shell and removes its block-core
+// registration.
 func (s *Supervisor) DisarmStandby() {
 	if s.standby == nil {
 		return
 	}
-	s.disarmKernelStandby()
+	s.K.Blk.UnregisterStandby(s.blkName)
 	s.standby.Kill()
 	s.standby = nil
-}
-
-// disarmKernelStandby clears the kernel-side standby tables for the
-// supervised objects (safe when nothing is registered).
-func (s *Supervisor) disarmKernelStandby() {
-	if s.blkName != "" {
-		s.K.Blk.UnregisterStandby(s.blkName)
-	}
-	if s.ifName != "" {
-		s.K.Net.UnregisterStandby(s.ifName)
-	}
 }
 
 // Stop ends supervision (the process keeps running; an armed standby shell
@@ -493,11 +470,12 @@ func (s *Supervisor) checkQueueFaults() bool {
 
 // surgical is the single-queue recovery path: queue q raised sub-domain
 // faults, so exactly that queue is killed (its DMA sub-domain revoked),
-// parked, graded, re-armed and replayed — the driver process and every
-// sibling queue keep running throughout. The flight ring reads the ISSUE
-// timeline in order: kill -> park -> verdict -> replay -> drain. A queue
-// that re-offends past Policy.Cfg.QueueOffenseLimit escalates to the full
-// quarantine verdict.
+// parked, graded and re-armed — the driver process and every sibling queue
+// keep running throughout. A block queue replays its request log; a NIC
+// queue replays nothing, its queued transmits staying with the live driver.
+// The flight ring reads the surgical timeline in order: kill -> park ->
+// verdict -> replay -> drain. A queue that re-offends past
+// Policy.Cfg.QueueOffenseLimit escalates to the full quarantine verdict.
 func (s *Supervisor) surgical(q int, faults uint64) {
 	cause := fmt.Sprintf("%d sub-domain faults", faults)
 	// Kill: the queue's DMA dies first, before any grading — a faulting
@@ -528,8 +506,8 @@ func (s *Supervisor) surgical(q int, faults uint64) {
 	s.K.Logf("supervisor: %s q%d surgically recovered: %s", s.Name, q, d.Reason)
 	// Replay: re-arm the sub-domain (mappings survived the revoke), bump
 	// the queue epoch through the proxy (stale-completion fence), and
-	// release the kernel queue — its shadow log replays under original
-	// tags, then the drain leg closes the timeline.
+	// release the kernel queue — a block queue's shadow log replays under
+	// original tags, then the drain leg closes the timeline.
 	if err := s.proc.DF.RearmQueueDMA(q + 1); err != nil {
 		s.K.Logf("supervisor: %s q%d DMA re-arm failed: %v", s.Name, q, err)
 	}
@@ -664,28 +642,12 @@ func (s *Supervisor) failover() bool {
 	s.harvestStale(s.proc)
 	s.proc.Kill() // no-op if already dead; parks the devices, bumps the epoch
 	s.Flight.Recordf(trace.FPromote, "promoting hot standby %s", sb.Name)
-	promoted := false
-	if s.blkName != "" {
-		d, err := s.K.Blk.PromoteStandby(s.blkName)
-		if err != nil {
-			s.K.Logf("supervisor: block failover of %s failed: %v", s.blkName, err)
-		} else {
-			sb.Blk.Bind(d)
-			promoted = true
-		}
-	}
-	if s.ifName != "" {
-		ifc, err := s.K.Net.PromoteStandby(s.ifName)
-		if err != nil {
-			s.K.Logf("supervisor: net failover of %s failed: %v", s.ifName, err)
-		} else {
-			sb.Eth.Bind(ifc)
-			promoted = true
-		}
-	}
-	if !promoted {
+	d, err := s.K.Blk.PromoteStandby(s.blkName)
+	if err != nil {
+		s.K.Logf("supervisor: block failover of %s failed: %v", s.blkName, err)
 		return false
 	}
+	sb.Blk.Bind(d)
 	s.Restarts++
 	s.Failovers++
 	s.Policy.RecordRestart(s.K.M.Now())

@@ -29,7 +29,6 @@ import (
 	"sud/internal/drivers/api"
 	"sud/internal/fifo"
 	"sud/internal/kernel"
-	"sud/internal/kernel/netstack"
 	"sud/internal/mem"
 	"sud/internal/pci"
 	"sud/internal/proxy/audioproxy"
@@ -116,10 +115,8 @@ type Process struct {
 	// at (OpQueueEpoch frames from a surgical quarantine); the runtime
 	// stamps it on every completion it sends for that queue, so the
 	// proxy can reject completions minted for a dead incarnation of one
-	// queue without touching its siblings. qparked marks queues the
-	// kernel has told the runtime are quarantined (advisory).
-	qep     []uint64
-	qparked []bool
+	// queue without touching its siblings.
+	qep []uint64
 
 	// rxBatch accumulates, per queue, received-frame references awaiting
 	// the batched OpNetifRxBatch downcall: up to ethproxy.MaxRxBatch
@@ -203,10 +200,10 @@ func StartQ(k *kernel.Kernel, dev pci.Device, drv api.Driver, name string, uid, 
 // the startup cost paid — but the driver is deliberately NOT probed, since
 // bringing up hardware the live primary still owns would wreck it (an NVMe
 // probe resets the controller). The supervisor arms the standby's proxy
-// against the live kernel object (ArmBlockStandby / ArmNetStandby) and
-// calls ActivateDriver at promotion, when the hardware is orphaned — so at
-// failover time the respawn cost is already sunk and only probe + bring-up
-// + replay remain on the kill-to-drained path.
+// against the live block device (ArmBlockStandby) and calls ActivateDriver
+// at promotion, when the hardware is orphaned — so at failover time the
+// respawn cost is already sunk and only probe + bring-up + replay remain on
+// the kill-to-drained path.
 func StartStandbyQ(k *kernel.Kernel, dev pci.Device, drv api.Driver, name string, uid, queues int) (*Process, error) {
 	p, err := newShellQ(k, dev, drv, name, uid, queues, true)
 	if err != nil {
@@ -252,7 +249,6 @@ func newShellQ(k *kernel.Kernel, dev pci.Device, drv api.Driver, name string, ui
 		blkComp:    make([][]blkproxy.CompRef, len(accts)),
 		flushMeta:  make(map[uint64]blkproxy.FlushOp),
 		qep:        make([]uint64, len(accts)),
-		qparked:    make([]bool, len(accts)),
 	}
 	for q := range accts {
 		p.txRetry[q].Fn = func() { p.retryPendingTx(q) }
@@ -321,8 +317,8 @@ func (p *Process) kickPending() {
 
 // ActivateDriver probes the driver inside a promoted standby shell. The
 // primary is dead and its kernel object already rebound to this process's
-// proxy, so the probe's RegisterNetDev/RegisterBlockDev binds the driver
-// instance to the pre-armed proxy instead of registering anew.
+// proxy, so the probe's RegisterBlockDev binds the driver instance to the
+// pre-armed proxy instead of registering anew.
 func (p *Process) ActivateDriver() error {
 	if !p.standby {
 		return fmt.Errorf("sudml: %s is not a standby shell", p.Name)
@@ -354,24 +350,6 @@ func (p *Process) ArmBlockStandby(name string, geom api.BlockGeometry) error {
 		return err
 	}
 	p.Blk = proxy
-	return nil
-}
-
-// ArmNetStandby pre-registers this standby shell with the netstack for the
-// named live interface; the MAC identity check runs now.
-func (p *Process) ArmNetStandby(name string, mac [6]byte) error {
-	if !p.standby {
-		return fmt.Errorf("sudml: %s is not a standby shell", p.Name)
-	}
-	if p.Eth != nil {
-		return fmt.Errorf("sudml: standby %s already armed", p.Name)
-	}
-	p.ki = &ethproxy.KernelIface{Acct: p.K.Acct, Mem: p.K.M.Mem, Net: p.K.Net}
-	proxy, err := ethproxy.NewStandby(p.ki, p.DF, p.Chan, name, mac)
-	if err != nil {
-		return err
-	}
-	p.Eth = proxy
 	return nil
 }
 
@@ -639,12 +617,14 @@ func (p *Process) dispatchBlock(q int, m uchan.Msg) (uchan.Msg, bool) {
 }
 
 // handleQueueEpoch services an OpQueueEpoch upcall (either class): one
-// queue's epoch transition from a surgical quarantine. A parked frame just
-// marks the queue so the runtime stops burning CPU on it; an armed frame
-// adopts the queue's new epoch for completion stamping and drops work held
-// for the dead incarnation — the kernel replays its own request log, so
-// re-submitting held upcalls (or flushing completions gathered before the
-// quarantine) would double-deliver those tags.
+// queue's epoch transition from a surgical quarantine. A parked frame is
+// advisory and changes nothing here — the kernel enforces the quarantine.
+// An armed frame adopts the queue's new epoch for completion stamping and
+// drops block work held for the dead incarnation: the block core replays
+// its own request log, so re-submitting held submissions (or flushing
+// completions gathered before the quarantine) would double-deliver those
+// tags. Held transmits stay: the kernel replays no TX frame on a surgical
+// re-arm, so each one is still this driver's to send and credit.
 func (p *Process) handleQueueEpoch(m uchan.Msg) {
 	p.Acct.Charge(sim.CostUMLCall)
 	s, err := protocol.DecodeQState(m.Data)
@@ -653,13 +633,10 @@ func (p *Process) handleQueueEpoch(m uchan.Msg) {
 		return
 	}
 	if s.Parked() {
-		p.qparked[s.Queue] = true
 		return
 	}
 	p.qep[s.Queue] = uint64(s.Epoch)
-	p.qparked[s.Queue] = false
 	p.pendingBlk[s.Queue].Clear()
-	p.pendingTx[s.Queue].Clear()
 	p.blkComp[s.Queue] = p.blkComp[s.Queue][:0]
 }
 
@@ -1105,18 +1082,6 @@ func (e *env) IRQAck() {
 func (e *env) RegisterNetDev(name string, macAddr [6]byte, dev api.NetDevice) (api.NetKernel, error) {
 	e.uml()
 	p := e.p
-	if p.Eth != nil && p.netdev == nil && p.Eth.Ifc != nil {
-		// Promoted hot standby: the proxy pre-registered (and was identity
-		// checked) before the kill and is already bound to the adopted
-		// interface; the probing driver binds to it instead of registering
-		// anew. The MAC the driver read back from the hardware must still
-		// match — same EEPROM, same interface.
-		if p.Eth.Ifc.MAC != netstack.MAC(macAddr) {
-			return nil, fmt.Errorf("sudml: standby driver MAC does not match %s", p.Eth.Ifc.Name)
-		}
-		p.netdev = dev
-		return &umlNetKernel{p: p}, nil
-	}
 	if p.Eth != nil {
 		return nil, fmt.Errorf("sudml: netdev already registered")
 	}
