@@ -5,19 +5,16 @@
 # when whole-suite coverage gives it 0.0%. List entries are "<file>
 # <function>", without line numbers, so unrelated edits do not churn them.
 #
-# Usage: bash .github/never-run.sh [coverprofile]
-# With no argument the suite runs first, under
+# Usage: bash .github/never-run.sh
+# It runs the suite once under
 #   go test -coverpkg=./internal/...,./cmd/... ./...
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 list=.github/never-run.txt
-profile=${1:-}
-if [ -z "$profile" ]; then
-	profile=$(mktemp)
-	trap 'rm -f "$profile"' EXIT
-	go test -coverpkg=./internal/...,./cmd/... -coverprofile="$profile" ./...
-fi
+profile=$(mktemp)
+trap 'rm -f "$profile"' EXIT
+go test -coverpkg=./internal/...,./cmd/... -coverprofile="$profile" ./...
 
 measured=$(go tool cover -func="$profile" |
 	awk '$NF == "0.0%" && $1 ~ /^sud\/internal\/(proxy|kernel|sudml|uchan|iommu|irq|pci)\// {

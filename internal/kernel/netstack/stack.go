@@ -154,7 +154,7 @@ var ErrNameTaken = fmt.Errorf("netstack: interface name already registered")
 // Devices implementing api.MultiQueueNetDevice get one queue context per
 // hardware queue; everything else gets exactly one. If an interface is
 // awaiting adoption (its supervised driver died) and the registration
-// matches its name and hardware address, the existing interface object is
+// matches it by name or hardware address, the existing interface object is
 // adopted instead: sockets and application handles survive the restart.
 func (s *Stack) Register(name string, macAddr [6]byte, dev api.NetDevice) (*Iface, error) {
 	if ifc := s.adopt(name, macAddr); ifc != nil {
@@ -242,13 +242,22 @@ func (s *Stack) BeginRecovery(name string) (*Iface, error) {
 	return ifc, nil
 }
 
-// adopt matches a registration against the adoption table by exact name;
-// the mirrored hardware address must also agree — a driver for another NIC
-// is not the same interface and must not inherit its sockets. A recovering
-// interface keeps its name in the interface table, so the proxy's
-// registration retry walks the uniquing template onto it.
+// adopt matches a registration against the adoption table: exact name
+// first, then hardware address — the driver read it back from the same
+// device's EEPROM, so it identifies the interface when a lower name was
+// freed and the restarted driver was handed that one instead. The address
+// must agree either way: a driver for another NIC must not inherit the
+// interface's sockets.
 func (s *Stack) adopt(name string, macAddr [6]byte) *Iface {
 	ifc, ok := s.adopting[name]
+	if !ok {
+		for n, cand := range s.adopting {
+			if cand.MAC == MAC(macAddr) {
+				ifc, name, ok = cand, n, true
+				break
+			}
+		}
+	}
 	if !ok || ifc.MAC != MAC(macAddr) {
 		return nil
 	}

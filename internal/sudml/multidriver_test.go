@@ -269,6 +269,76 @@ func TestSupervisorRecoversHungDriver(t *testing.T) {
 	sup.Stop()
 }
 
+// TestRespawnAdoptsRenamedInterface: the supervised NIC registered as eth1
+// because another NIC's unsupervised driver held eth0. Killing that driver
+// frees eth0, so the supervised driver's respawn — which requests "eth0"
+// again — misses the recovering interface by name. It must still adopt eth1
+// by hardware address rather than register a fresh eth0 and leave eth1
+// bound to its dead proxy.
+func TestRespawnAdoptsRenamedInterface(t *testing.T) {
+	m := hw.NewMachine(hw.DefaultPlatform())
+	k := kernel.New(m)
+	nicA := e1000.New(m.Loop, pci.MakeBDF(1, 0, 0), 0xFEB00000, dutMAC, e1000.DefaultParams())
+	m.AttachDevice(nicA)
+	macB := [6]byte{0x00, 0x1B, 0x21, 0x11, 0x22, 0x34}
+	nicB := e1000.New(m.Loop, pci.MakeBDF(1, 1, 0), 0xFEB20000, macB, e1000.DefaultParams())
+	m.AttachDevice(nicB)
+	link := ethlink.NewGigabit(m.Loop, 300)
+	link.Connect(nicB, &echoPeer{link: link, loop: m.Loop})
+	nicB.AttachLink(link, 0)
+
+	procA, err := Start(k, nicA, e1000e.New(), "e1000e-a", 1001)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sup, err := Supervise(k, nicB, e1000e.New(), "e1000e-b", "eth1", 1002)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ifc, err := k.Net.Iface("eth1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ifc.MAC != netstack.MAC(macB) {
+		t.Fatalf("eth1 has MAC %v, want the supervised NIC's", ifc.MAC)
+	}
+	if err := ifc.Up(dutIP); err != nil {
+		t.Fatal(err)
+	}
+	var echoes int
+	if _, err := k.Net.UDPBind(5000, func([]byte, netstack.IP, uint16) { echoes++ }); err != nil {
+		t.Fatal(err)
+	}
+
+	procA.Kill()
+	if _, err := k.Net.Iface("eth0"); err == nil {
+		t.Fatal("eth0 survived its unsupervised driver's kill")
+	}
+	sup.Proc().Kill()
+	m.Loop.RunFor(50 * sim.Millisecond)
+	if sup.Restarts != 1 {
+		t.Fatalf("restarts = %d, want 1", sup.Restarts)
+	}
+	if _, err := k.Net.Iface("eth0"); err == nil {
+		t.Fatal("the respawn registered a fresh eth0 instead of adopting eth1")
+	}
+	cur, err := k.Net.Iface("eth1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cur != ifc || cur.Recovering() || !cur.IsUp() {
+		t.Fatalf("eth1 not adopted: same=%v recovering=%v up=%v", cur == ifc, cur.Recovering(), cur.IsUp())
+	}
+	if err := k.Net.UDPSendTo(cur, peerMAC, peerIP, 5000, 7, []byte("ping")); err != nil {
+		t.Fatal(err)
+	}
+	m.Loop.RunFor(20 * sim.Millisecond)
+	if echoes != 1 {
+		t.Fatalf("echoes through the adopted eth1 = %d, want 1", echoes)
+	}
+	sup.Stop()
+}
+
 // TestSupervisorGivesUpOnCrashLoop verifies the crash-loop bound.
 func TestSupervisorGivesUpOnCrashLoop(t *testing.T) {
 	m := hw.NewMachine(hw.DefaultPlatform())
