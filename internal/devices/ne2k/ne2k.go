@@ -7,6 +7,7 @@ package ne2k
 
 import (
 	"sud/internal/ethlink"
+	"sud/internal/fifo"
 	"sud/internal/pci"
 	"sud/internal/sim"
 )
@@ -106,6 +107,11 @@ type Card struct {
 
 	// txBusyUntil serialises transmits in time (TXP busy model).
 	txBusyUntil sim.Time
+	// txFrames holds the frames on their way out, oldest first: each
+	// leaves when its wire time ends, so they finish in the order they
+	// were queued. txDoneFn is txDone, bound once.
+	txFrames fifo.Bytes
+	txDoneFn func()
 
 	// Counters.
 	TxPackets, RxPackets uint64
@@ -115,6 +121,7 @@ type Card struct {
 // New creates the card with the MAC burned into its PROM.
 func New(loop *sim.Loop, bdf pci.BDF, ioBase uint64, macAddr [6]byte) *Card {
 	c := &Card{loop: loop, mac: macAddr}
+	c.txDoneFn = c.txDone
 	cfg := pci.NewConfigSpace(0x10EC, 0x8029, 0x02)
 	cfg.SetBAR(0, ioBase, IOBARSize, true)
 	cfg.AddMSICapability() // the PCI variant SUD requires (§3.2.2: no legacy INTx)
@@ -270,20 +277,23 @@ func (c *Card) transmit() {
 		c.raise()
 		return
 	}
-	frame := make([]byte, n)
-	copy(frame, c.sram[start:start+n])
+	c.txFrames.Push(c.sram[start : start+n])
 	begin := c.txBusyUntil
 	if now := c.loop.Now(); begin < now {
 		begin = now
 	}
 	c.txBusyUntil = begin + TxTime(n)
-	c.loop.At(c.txBusyUntil, func() {
-		if c.link.Send(c.side, frame) == nil {
-			c.TxPackets++
-		}
-		c.isr |= IsrPTX
-		c.raise()
-	})
+	c.loop.At(c.txBusyUntil, c.txDoneFn)
+}
+
+// txDone puts the oldest queued frame on the wire as its wire time ends.
+func (c *Card) txDone() {
+	if c.link.Send(c.side, c.txFrames.Peek()) == nil {
+		c.TxPackets++
+	}
+	c.txFrames.Pop()
+	c.isr |= IsrPTX
+	c.raise()
 }
 
 // LinkDeliver implements ethlink.Endpoint: store the frame into the receive

@@ -16,6 +16,7 @@ import (
 
 	"sud/internal/devices/e1000"
 	"sud/internal/drivers/api"
+	"sud/internal/fifo"
 	"sud/internal/mem"
 )
 
@@ -117,7 +118,7 @@ type rxq struct {
 	// deferred holds consumed descriptor indices not yet re-armed, in ring
 	// order (pageAware: the host owns their buffer pages until it recycles
 	// them back).
-	deferred []int
+	deferred fifo.Queue[int]
 }
 
 type nic struct {
@@ -528,7 +529,7 @@ func (n *nic) pollRx(q int) int {
 			// The host may flip this buffer's page to the kernel; the
 			// descriptor is re-armed when the page comes back through
 			// RecyclePages.
-			r.deferred = append(r.deferred, r.next)
+			r.deferred.Push(r.next)
 		} else {
 			n.armRxDesc(q, r.next)
 			n.mmio.Write32(e1000.RxQOff(q, e1000.RegRDT), uint32(r.next))
@@ -559,13 +560,13 @@ func (n *nic) RecyclePages(q int, pages []mem.Addr) {
 		if page < base || page >= base+mem.Addr(RingSize*BufSize) {
 			continue // not this ring's pool
 		}
-		for len(r.deferred) > 0 {
-			d := r.deferred[0]
+		for r.deferred.Len() > 0 {
+			d := r.deferred.Peek()
 			if mem.PageAlign(base+mem.Addr(d*BufSize)) != page {
 				break
 			}
 			n.armRxDesc(q, d)
-			r.deferred = r.deferred[1:]
+			r.deferred.Pop()
 			last = d
 		}
 	}

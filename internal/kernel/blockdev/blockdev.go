@@ -54,6 +54,7 @@ var (
 	ErrBadSize    = fmt.Errorf("blockdev: payload is not one block")
 	ErrDown       = fmt.Errorf("blockdev: device is down")
 	ErrCongested  = fmt.Errorf("blockdev: request queue full")
+	ErrBusy       = fmt.Errorf("blockdev: device has requests outstanding")
 )
 
 // Manager is the kernel's block core.
@@ -138,10 +139,10 @@ func (m *Manager) Unregister(name string) {
 	// in-flight entry below; an undispatched or queued one fails here.
 	if b := d.barrier; b != nil && !b.dispatched {
 		d.barrier = nil
-		b.cb(ErrDown)
+		d.endFlush(b, ErrDown)
 	}
 	for d.flushQ.Len() > 0 {
-		d.flushQ.Pop().cb(ErrDown)
+		d.endFlush(d.flushQ.Pop(), ErrDown)
 	}
 	for tag, r := range d.inflight {
 		delete(d.inflight, tag)
@@ -281,10 +282,10 @@ func (m *Manager) Quarantine(name string) {
 	// undispatched or queued one fails here (same discipline as Unregister).
 	if b := d.barrier; b != nil && !b.dispatched {
 		d.barrier = nil
-		b.cb(ErrDown)
+		d.endFlush(b, ErrDown)
 	}
 	for d.flushQ.Len() > 0 {
-		d.flushQ.Pop().cb(ErrDown)
+		d.endFlush(d.flushQ.Pop(), ErrDown)
 	}
 	for tag, r := range d.inflight {
 		delete(d.inflight, tag)
@@ -386,11 +387,17 @@ type request struct {
 
 // flushOp is one Flush() barrier moving through the device: queued, then
 // active (new submissions park), then dispatched (the driver holds the
-// flush; every request dispatched before it has already completed).
+// flush; every request dispatched before it has already completed). Ops
+// are recycled through Dev.flushFree; done, the dispatched flush's
+// completion, is bound once per op.
 type flushOp struct {
+	d          *Dev
 	cb         func(error)
 	dispatched bool
+	done       func(error)
 }
+
+func (b *flushOp) complete(err error) { b.d.finishBarrier(b, err) }
 
 // Dev is one registered block device. It implements api.BlockKernel — it is
 // what RegisterBlockDev hands back to the driver.
@@ -428,8 +435,9 @@ type Dev struct {
 	// itself is dispatched only once the in-flight table drains — so a
 	// flush completion means every write acked before it is durable, in
 	// every queue (the §3.1.2 guard family's durability member).
-	barrier *flushOp
-	flushQ  fifo.Queue[*flushOp]
+	barrier   *flushOp
+	flushQ    fifo.Queue[*flushOp]
+	flushFree []*flushOp
 
 	// OnWake, if set, runs when the driver wakes a queue with no
 	// queue-level hook (backpressure release for the benchmark loop).
@@ -518,10 +526,20 @@ func (d *Dev) Up() error {
 	return nil
 }
 
-// Down quiesces the device (→ driver Stop).
+// Down quiesces the device (→ driver Stop). It fails with ErrBusy, and
+// changes nothing, while any request is in flight or parked or a flush
+// barrier is active or queued: the stopped driver would never complete
+// them. Callers let the device drain first.
 func (d *Dev) Down() error {
 	if !d.up {
 		return nil
+	}
+	busy := len(d.inflight) > 0 || d.barrier != nil || d.flushQ.Len() > 0
+	for q := range d.queues {
+		busy = busy || d.queues[q].waiting.Len() > 0
+	}
+	if busy {
+		return ErrBusy
 	}
 	d.up = false
 	return d.drv.Stop()
@@ -604,7 +622,16 @@ func (d *Dev) Flush(cb func(error)) error {
 		return ErrDown
 	}
 	d.mgr.Acct.Charge(CostSubmitPath)
-	d.flushQ.Push(&flushOp{cb: cb})
+	var b *flushOp
+	if n := len(d.flushFree); n > 0 {
+		b = d.flushFree[n-1]
+		d.flushFree = d.flushFree[:n-1]
+	} else {
+		b = &flushOp{d: d}
+		b.done = b.complete
+	}
+	b.cb = cb
+	d.flushQ.Push(b)
 	d.pumpBarrier()
 	return nil
 }
@@ -628,8 +655,7 @@ func (d *Dev) pumpBarrier() {
 		return
 	}
 	b.dispatched = true
-	if !d.dispatch(0, api.BlockRequest{Flush: true},
-		done{write: func(err error) { d.finishBarrier(b, err) }}) {
+	if !d.dispatch(0, api.BlockRequest{Flush: true}, done{write: b.done}) {
 		// The driver refused the flush (queue full): retried on the next
 		// wake.
 		b.dispatched = false
@@ -645,7 +671,7 @@ func (d *Dev) finishBarrier(b *flushOp, err error) {
 	if err == nil {
 		d.Flushes++
 	}
-	b.cb(err)
+	d.endFlush(b, err)
 	if !d.up || d.recovering {
 		return
 	}
@@ -653,6 +679,16 @@ func (d *Dev) finishBarrier(b *flushOp, err error) {
 		d.WakeQueueQ(q)
 	}
 	d.pumpBarrier()
+}
+
+// endFlush retires barrier b with verdict err. The callback is read out
+// and the op goes back on the free list before the callback runs, so a
+// Flush issued from inside it may take the same op again.
+func (d *Dev) endFlush(b *flushOp, err error) {
+	cb := b.cb
+	b.cb, b.dispatched = nil, false
+	d.flushFree = append(d.flushFree, b)
+	cb(err)
 }
 
 // submit validates, tags and dispatches one request; a stalled or full

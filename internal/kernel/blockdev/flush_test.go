@@ -257,3 +257,93 @@ func TestBarrierSurvivesRecovery(t *testing.T) {
 		t.Fatal("barrier never completed across recovery")
 	}
 }
+
+// TestKillMidBarrierRunsEachFlushOnce: the driver dies while one barrier is
+// dispatched and a second is queued behind it. The dispatched flush replays
+// into the restarted driver, and every Flush callback runs exactly once, in
+// order, a flush issued from inside the first callback included: it takes
+// the first barrier's recycled op while the second barrier is still queued.
+func TestKillMidBarrierRunsEachFlushOnce(t *testing.T) {
+	m := newMgr()
+	f := newFake(1, 8)
+	d, _ := m.Register("d0", geom(), f)
+	_ = d.Up()
+	d.AttachShadow(shadow.NewBlock(d.Geom))
+
+	var order []int
+	var flush func(i int)
+	flush = func(i int) {
+		if err := d.Flush(func(err error) {
+			if err != nil {
+				t.Errorf("flush %d: %v", i, err)
+			}
+			order = append(order, i)
+			if i == 0 {
+				flush(2)
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flush(0)
+	flush(1)
+	if len(f.pending[0]) != 1 || !f.pending[0][0].Flush {
+		t.Fatalf("first barrier not dispatched: %+v", f.pending[0])
+	}
+
+	if _, err := m.BeginRecovery("d0"); err != nil {
+		t.Fatal(err)
+	}
+	f2 := newFake(1, 8)
+	if d2, err := m.Register("d0", geom(), f2); err != nil || d2 != d {
+		t.Fatalf("adoption failed: %v", err)
+	}
+	if _, err := d.CompleteRecovery(); err != nil {
+		t.Fatal(err)
+	}
+	if len(f2.pending[0]) != 1 || !f2.pending[0][0].Flush {
+		t.Fatalf("replay schedule wrong: %+v", f2.pending[0])
+	}
+	for rounds := 0; rounds < 10 && len(order) < 3; rounds++ {
+		completeAll(d, f2)
+	}
+	if len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 2 {
+		t.Fatalf("barrier callbacks ran %v, want [0 1 2]", order)
+	}
+	if d.Flushes != 3 || d.InFlight() != 0 {
+		t.Fatalf("Flushes = %d with %d in flight, want 3 and 0", d.Flushes, d.InFlight())
+	}
+}
+
+// TestFlushCompleteAllocatesNothing pins barrier recycling: once one flush
+// has completed, Flush → dispatch → Complete allocates nothing.
+func TestFlushCompleteAllocatesNothing(t *testing.T) {
+	m := newMgr()
+	f := &tagDrv{}
+	d, err := m.Register("d0", geom(), f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Up(); err != nil {
+		t.Fatal(err)
+	}
+	flushed := 0
+	cb := func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		flushed++
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := d.Flush(cb); err != nil {
+			t.Fatal(err)
+		}
+		d.Complete(0, f.tag, nil, nil)
+	})
+	if allocs != 0 {
+		t.Fatalf("Flush+Complete allocates %.0f times per barrier, want 0", allocs)
+	}
+	if flushed != 201 || d.Flushes != 201 {
+		t.Fatalf("%d callbacks and %d barriers completed, want 201", flushed, d.Flushes)
+	}
+}

@@ -56,23 +56,20 @@ type Response struct {
 	Val    []byte
 }
 
-// EncodeRequest serialises r. It does not validate lengths beyond what the
+// AppendRequest appends r's wire bytes to dst and returns the extended
+// slice: a sender encodes into storage it reuses, and a dst with room for
+// the request does not grow. It does not validate lengths beyond what the
 // format can carry; DecodeRequest is the defensive side.
-func EncodeRequest(r Request) []byte {
-	n := 1 + 8 + 1 + len(r.Key)
+func AppendRequest(dst []byte, r Request) []byte {
+	dst = append(dst, r.Op)
+	dst = binary.BigEndian.AppendUint64(dst, r.ID)
+	dst = append(dst, byte(len(r.Key)))
+	dst = append(dst, r.Key...)
 	if r.Op == OpPut {
-		n += 2 + len(r.Val)
+		dst = binary.BigEndian.AppendUint16(dst, uint16(len(r.Val)))
+		dst = append(dst, r.Val...)
 	}
-	b := make([]byte, 0, n)
-	b = append(b, r.Op)
-	b = binary.BigEndian.AppendUint64(b, r.ID)
-	b = append(b, byte(len(r.Key)))
-	b = append(b, r.Key...)
-	if r.Op == OpPut {
-		b = binary.BigEndian.AppendUint16(b, uint16(len(r.Val)))
-		b = append(b, r.Val...)
-	}
-	return b
+	return dst
 }
 
 // DecodeRequest parses an untrusted datagram. Every length is validated
@@ -119,14 +116,13 @@ func DecodeRequest(b []byte) (Request, error) {
 	return r, nil
 }
 
-// EncodeResponse serialises a reply.
-func EncodeResponse(r Response) []byte {
-	b := make([]byte, 0, 1+8+2+len(r.Val))
-	b = append(b, r.Status)
-	b = binary.BigEndian.AppendUint64(b, r.ID)
-	b = binary.BigEndian.AppendUint16(b, uint16(len(r.Val)))
-	b = append(b, r.Val...)
-	return b
+// AppendResponse appends a reply's wire bytes to dst and returns the
+// extended slice, like AppendRequest.
+func AppendResponse(dst []byte, r Response) []byte {
+	dst = append(dst, r.Status)
+	dst = binary.BigEndian.AppendUint64(dst, r.ID)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(r.Val)))
+	return append(dst, r.Val...)
 }
 
 // DecodeResponse parses a reply on the client side.

@@ -32,7 +32,10 @@ type Tenant struct {
 	Queue int // NIC queue: both the RSS ring requests arrive on and the TX queue replies leave on
 	BlkQ  int // block device queue persistence submits to
 
-	store map[string][]byte
+	// store maps a key to its value's storage. It holds the storage by
+	// pointer so a PUT to a stored key rewrites the value in place, without
+	// inserting the key again.
+	store map[string]*[]byte
 
 	// Counters. PersistErrs counts writes the block layer refused or failed
 	// (quarantined device, congestion): the tenant keeps serving from memory
@@ -52,6 +55,27 @@ type Server struct {
 	// block is packBlock's buffer: WriteAtQ copies the payload before it
 	// returns, so one buffer serves every write.
 	block []byte
+
+	// resp is reply's encode buffer: UDPSendToQ copies the payload into
+	// its frame before it transmits, so one buffer serves every reply,
+	// a reply sent from inside another reply's transmit included.
+	resp []byte
+
+	// puts is the free list of write-through records: a record leaves it
+	// for one PUT's block write and returns when the write completes.
+	puts []*pendingPut
+}
+
+// pendingPut is one write-through PUT waiting for its block completion:
+// what the reply needs once the write is done. done is the completion,
+// bound once per record.
+type pendingPut struct {
+	s       *Server
+	tn      *Tenant
+	id      uint64
+	dstIP   netstack.IP
+	dstPort uint16
+	done    func(error)
 }
 
 // New binds one UDP socket per tenant on stack/ifc and wires each shard to
@@ -77,7 +101,7 @@ func New(stack *netstack.Stack, ifc *netstack.Iface, cfg Config) (*Server, error
 			Port:  cfg.PortBase + uint16(t),
 			Queue: t % nq,
 			BlkQ:  t % bq,
-			store: make(map[string][]byte),
+			store: make(map[string]*[]byte),
 		}
 		if _, err := stack.UDPBind(tn.Port, func(payload []byte, srcIP netstack.IP, srcPort uint16) {
 			s.serve(tn, payload, srcIP, srcPort)
@@ -98,7 +122,10 @@ func (s *Server) Tenant(t int) *Tenant { return s.tenants[t] }
 // Tenants returns the shard count.
 func (s *Server) Tenants() int { return len(s.tenants) }
 
-// serve handles one datagram on tenant tn's port.
+// serve handles one datagram on tenant tn's port. The request's key and
+// value are views of payload, valid only until serve returns: a stored
+// value is a copy, and the block write copies its payload before WriteAtQ
+// returns.
 func (s *Server) serve(tn *Tenant, payload []byte, srcIP netstack.IP, srcPort uint16) {
 	req, err := DecodeRequest(payload)
 	if err != nil {
@@ -111,8 +138,8 @@ func (s *Server) serve(tn *Tenant, payload []byte, srcIP netstack.IP, srcPort ui
 	switch req.Op {
 	case OpGet:
 		tn.Gets++
-		if val, ok := tn.store[string(req.Key)]; ok {
-			s.reply(tn, srcIP, srcPort, Response{Status: StOK, ID: req.ID, Val: val})
+		if val := tn.store[string(req.Key)]; val != nil {
+			s.reply(tn, srcIP, srcPort, Response{Status: StOK, ID: req.ID, Val: *val})
 		} else {
 			tn.NotFound++
 			s.reply(tn, srcIP, srcPort, Response{Status: StNotFound, ID: req.ID})
@@ -123,9 +150,14 @@ func (s *Server) serve(tn *Tenant, payload []byte, srcIP netstack.IP, srcPort ui
 		s.reply(tn, srcIP, srcPort, Response{Status: StOK, ID: req.ID})
 	case OpPut:
 		tn.Puts++
-		key := string(req.Key)
-		val := append([]byte(nil), req.Val...)
-		tn.store[key] = val
+		// The key's first PUT allocates its storage; later ones copy into
+		// it, growing it only for a longer value.
+		val := tn.store[string(req.Key)]
+		if val == nil {
+			val = new([]byte)
+			tn.store[string(req.Key)] = val
+		}
+		*val = append((*val)[:0], req.Val...)
 		if s.cfg.Store == nil {
 			s.reply(tn, srcIP, srcPort, Response{Status: StOK, ID: req.ID})
 			return
@@ -135,23 +167,46 @@ func (s *Server) serve(tn *Tenant, payload []byte, srcIP netstack.IP, srcPort ui
 		// or failed write degrades to memory-only service: count it, still
 		// acknowledge — one tenant's quarantined queue must not turn sibling
 		// durability trouble into unavailability.
-		id, sIP, sPort := req.ID, srcIP, srcPort
-		if err := s.cfg.Store.WriteAtQ(s.blockFor(tn, key), tn.BlkQ, s.packBlock(key, val), func(werr error) {
-			if werr != nil {
-				tn.PersistErrs++
-			}
-			s.reply(tn, sIP, sPort, Response{Status: StOK, ID: id})
-		}); err != nil {
+		pp := s.takePut()
+		pp.tn, pp.id, pp.dstIP, pp.dstPort = tn, req.ID, srcIP, srcPort
+		if err := s.cfg.Store.WriteAtQ(s.blockFor(tn, req.Key), tn.BlkQ, s.packBlock(req.Key, *val), pp.done); err != nil {
+			s.puts = append(s.puts, pp)
 			tn.PersistErrs++
-			s.reply(tn, srcIP, srcPort, Response{Status: StOK, ID: id})
+			s.reply(tn, srcIP, srcPort, Response{Status: StOK, ID: req.ID})
 		}
 	}
 }
 
-// reply transmits a response pinned to the tenant's NIC queue.
+// takePut returns a write-through record off the free list, or a new one
+// with its completion bound.
+func (s *Server) takePut() *pendingPut {
+	if n := len(s.puts); n > 0 {
+		pp := s.puts[n-1]
+		s.puts = s.puts[:n-1]
+		return pp
+	}
+	pp := &pendingPut{s: s}
+	pp.done = pp.complete
+	return pp
+}
+
+// complete is a write-through PUT's block completion. The record goes back
+// on the free list before the reply is sent, so a PUT served from inside
+// the reply's transmit can take it again.
+func (pp *pendingPut) complete(werr error) {
+	s, tn, id, dstIP, dstPort := pp.s, pp.tn, pp.id, pp.dstIP, pp.dstPort
+	s.puts = append(s.puts, pp)
+	if werr != nil {
+		tn.PersistErrs++
+	}
+	s.reply(tn, dstIP, dstPort, Response{Status: StOK, ID: id})
+}
+
+// reply transmits a response pinned to the tenant's NIC queue, encoded in
+// the server's reply buffer.
 func (s *Server) reply(tn *Tenant, dstIP netstack.IP, dstPort uint16, resp Response) {
-	err := s.stack.UDPSendToQ(s.ifc, s.cfg.ClientMAC, dstIP, tn.Port, dstPort,
-		EncodeResponse(resp), tn.Queue)
+	s.resp = AppendResponse(s.resp[:0], resp)
+	err := s.stack.UDPSendToQ(s.ifc, s.cfg.ClientMAC, dstIP, tn.Port, dstPort, s.resp, tn.Queue)
 	if err != nil {
 		// TX backpressure or a parked queue: the reply is lost and the
 		// client retransmits. Confinement means this stays on tn.Queue.
@@ -160,14 +215,14 @@ func (s *Server) reply(tn *Tenant, dstIP netstack.IP, dstPort uint16, resp Respo
 }
 
 // blockFor maps a key into the tenant's LBA region.
-func (s *Server) blockFor(tn *Tenant, key string) uint64 {
+func (s *Server) blockFor(tn *Tenant, key []byte) uint64 {
 	base := s.cfg.LBABase + uint64(tn.ID)*s.cfg.BlocksPerTenant
 	return base + fnv64(key)%s.cfg.BlocksPerTenant
 }
 
 // packBlock lays `klen(1) key vlen(2) val` into one zero-padded block, in
 // the server's block buffer (valid until the next call).
-func (s *Server) packBlock(key string, val []byte) []byte {
+func (s *Server) packBlock(key, val []byte) []byte {
 	if s.block == nil {
 		s.block = make([]byte, s.cfg.Store.Geom.BlockSize)
 	}
@@ -183,10 +238,10 @@ func (s *Server) packBlock(key string, val []byte) []byte {
 }
 
 // fnv64 is FNV-1a; it only has to spread keys across a tenant's blocks.
-func fnv64(s string) uint64 {
+func fnv64(b []byte) uint64 {
 	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
+	for _, c := range b {
+		h ^= uint64(c)
 		h *= 1099511628211
 	}
 	return h

@@ -24,6 +24,14 @@ var (
 type mqDev struct {
 	nq  int
 	txq map[int][][]byte
+
+	// onXmit, when set, runs once, inside the next transmit and before the
+	// frame is recorded.
+	onXmit func()
+	// reuse keeps only the newest frame, in last, copied into storage the
+	// fake reuses: a transmit then allocates nothing.
+	reuse bool
+	last  []byte
 }
 
 func (d *mqDev) Open() error              { return nil }
@@ -31,6 +39,14 @@ func (d *mqDev) Stop() error              { return nil }
 func (d *mqDev) TxQueues() int            { return d.nq }
 func (d *mqDev) StartXmit(f []byte) error { return d.StartXmitQ(f, 0) }
 func (d *mqDev) StartXmitQ(f []byte, q int) error {
+	if h := d.onXmit; h != nil {
+		d.onXmit = nil
+		h()
+	}
+	if d.reuse {
+		d.last = append(d.last[:0], f...)
+		return nil
+	}
 	if d.txq == nil {
 		d.txq = map[int][][]byte{}
 	}
@@ -40,11 +56,12 @@ func (d *mqDev) StartXmitQ(f []byte, q int) error {
 func (d *mqDev) DoIoctl(cmd uint32, arg []byte) ([]byte, error) { return nil, nil }
 
 // blkDrv is a fake block driver that completes every submission a few
-// microseconds later on the sim loop.
+// microseconds later on the sim loop, or inside Submit when sync is set.
 type blkDrv struct {
 	loop   *sim.Loop
 	dev    *blockdev.Dev
 	fail   bool
+	sync   bool
 	subs   []api.BlockRequest
 	queues int
 }
@@ -53,6 +70,11 @@ func (f *blkDrv) Open() error { return nil }
 func (f *blkDrv) Stop() error { return nil }
 func (f *blkDrv) Queues() int { return f.queues }
 func (f *blkDrv) Submit(q int, req api.BlockRequest) error {
+	if f.sync {
+		// Nothing kept: a write's payload is not needed past the call.
+		f.dev.Complete(q, req.Tag, nil, nil)
+		return nil
+	}
 	req.Data = append([]byte(nil), req.Data...) // Submit must not retain the host's buffer
 	f.subs = append(f.subs, req)
 	f.loop.After(5*sim.Microsecond, func() {
@@ -114,21 +136,25 @@ func newFixture(t *testing.T, tenants int, persist bool) *fixture {
 // the request id used.
 func (fx *fixture) send(tn *Tenant, sport uint16, req Request) {
 	frame := netstack.AppendUDPFrame(nil, [6]byte(cliMAC), [6]byte(srvMAC), cliIP, srvIP,
-		sport, tn.Port, EncodeRequest(req))
+		sport, tn.Port, AppendRequest(nil, req))
 	fx.ifc.NetifRx(frame, tn.Queue)
 }
 
-// lastReply decodes the newest reply on queue q and checks its UDP addressing.
+// lastReply decodes the newest reply on queue q.
 func (fx *fixture) lastReply(t *testing.T, q int) Response {
 	t.Helper()
 	frames := fx.nic.txq[q]
 	if len(frames) == 0 {
 		t.Fatalf("no reply on queue %d", q)
 	}
-	f := frames[len(frames)-1]
+	return decodeReply(t, frames[len(frames)-1])
+}
+
+// decodeReply decodes the response one reply frame carries.
+func decodeReply(t *testing.T, frame []byte) Response {
+	t.Helper()
 	// Strip Eth+IPv4+UDP (no options on this path).
-	payload := f[netstack.EthHeaderLen+20+8:]
-	resp, err := DecodeResponse(payload)
+	resp, err := DecodeResponse(frame[netstack.EthHeaderLen+20+8:])
 	if err != nil {
 		t.Fatalf("reply undecodable: %v", err)
 	}
@@ -250,7 +276,7 @@ func TestBadRequestsDroppedWithoutReply(t *testing.T) {
 		{OpGet},                              // truncated header
 		{99, 0, 0, 0, 0, 0, 0, 0, 1, 1, 'k'}, // unknown op
 		{OpGet, 0, 0, 0, 0, 0, 0, 0, 1, 0},   // zero-length key
-		append(EncodeRequest(Request{Op: OpGet, ID: 1, Key: []byte("k")}), 0xFF), // trailing byte
+		append(AppendRequest(nil, Request{Op: OpGet, ID: 1, Key: []byte("k")}), 0xFF), // trailing byte
 	} {
 		frame := netstack.AppendUDPFrame(nil, [6]byte(cliMAC), [6]byte(srvMAC), cliIP, srvIP,
 			53000, tn.Port, garbage)
@@ -272,7 +298,7 @@ func TestCodecRoundTrip(t *testing.T) {
 		{Op: OpDel, ID: 0, Key: bytes.Repeat([]byte{'x'}, MaxKeyLen)},
 	}
 	for _, want := range reqs {
-		got, err := DecodeRequest(EncodeRequest(want))
+		got, err := DecodeRequest(AppendRequest(nil, want))
 		if err != nil {
 			t.Fatalf("%+v: %v", want, err)
 		}
@@ -281,8 +307,113 @@ func TestCodecRoundTrip(t *testing.T) {
 		}
 	}
 	resp := Response{Status: StOK, ID: 99, Val: []byte("payload")}
-	got, err := DecodeResponse(EncodeResponse(resp))
+	got, err := DecodeResponse(AppendResponse(nil, resp))
 	if err != nil || got.Status != resp.Status || got.ID != resp.ID || !bytes.Equal(got.Val, resp.Val) {
 		t.Fatalf("response round trip %+v (%v)", got, err)
+	}
+}
+
+// TestCodecAllocatesNothing pins the codecs to caller storage: a full-size
+// request and response encode into a reused buffer, and decode from it,
+// without allocating.
+func TestCodecAllocatesNothing(t *testing.T) {
+	val := bytes.Repeat([]byte{0xAB}, MaxValLen)
+	req := Request{Op: OpPut, ID: 7, Key: bytes.Repeat([]byte{'k'}, MaxKeyLen), Val: val}
+	resp := Response{Status: StOK, ID: 7, Val: val}
+	buf := make([]byte, 0, 1+8+1+MaxKeyLen+2+MaxValLen)
+	if a := testing.AllocsPerRun(100, func() {
+		buf = AppendRequest(buf[:0], req)
+		if _, err := DecodeRequest(buf); err != nil {
+			t.Fatal(err)
+		}
+		buf = AppendResponse(buf[:0], resp)
+		if _, err := DecodeResponse(buf); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Fatalf("encoding and decoding a request and a response allocates %.0f times, want 0", a)
+	}
+}
+
+// TestRoundTripsAllocateNothing pins the server's steady state: once a
+// key's first PUT has allocated its value storage, a GET and a
+// write-through PUT, each from request frame to reply frame, allocate
+// nothing.
+func TestRoundTripsAllocateNothing(t *testing.T) {
+	fx := newFixture(t, 1, true)
+	fx.blk.sync = true
+	fx.nic.reuse = true
+	tn := fx.srv.Tenant(0)
+	val := bytes.Repeat([]byte{0x5A}, 64)
+	for _, tc := range []struct {
+		name string
+		req  Request
+	}{
+		{"PUT", Request{Op: OpPut, ID: 1, Key: []byte("key"), Val: val}},
+		{"GET", Request{Op: OpGet, ID: 2, Key: []byte("key")}},
+	} {
+		frame := netstack.AppendUDPFrame(nil, [6]byte(cliMAC), [6]byte(srvMAC), cliIP, srvIP,
+			53000, tn.Port, AppendRequest(nil, tc.req))
+		fx.ifc.NetifRx(frame, tn.Queue)
+		if a := testing.AllocsPerRun(100, func() { fx.ifc.NetifRx(frame, tn.Queue) }); a != 0 {
+			t.Fatalf("a %s round trip allocates %.0f times, want 0", tc.name, a)
+		}
+		r := decodeReply(t, fx.nic.last)
+		if r.Status != StOK || r.ID != tc.req.ID || (tc.req.Op == OpGet && !bytes.Equal(r.Val, val)) {
+			t.Fatalf("%s reply %+v", tc.name, r)
+		}
+	}
+	if tn.Puts != 102 || tn.Gets != 102 || tn.PersistErrs != 0 || tn.ReplyErrs != 0 {
+		t.Fatalf("counters %+v", *tn)
+	}
+}
+
+// TestOverwriteKeepsNoStaleTail: a PUT rewrites the stored value in place.
+// Overwriting a key with a shorter value, then a longer one, must return
+// exactly the new bytes each time, and the stored value must not be a view
+// of the request, which is valid only while it is served.
+func TestOverwriteKeepsNoStaleTail(t *testing.T) {
+	fx := newFixture(t, 1, true)
+	tn := fx.srv.Tenant(0)
+	for i, v := range []string{"a first value", "short", "a value longer than both before it"} {
+		frame := netstack.AppendUDPFrame(nil, [6]byte(cliMAC), [6]byte(srvMAC), cliIP, srvIP,
+			53000, tn.Port, AppendRequest(nil, Request{Op: OpPut, ID: uint64(2*i + 1), Key: []byte("k"), Val: []byte(v)}))
+		fx.ifc.NetifRx(frame, tn.Queue)
+		clear(frame)
+		fx.loop.RunFor(sim.Millisecond)
+		fx.send(tn, 53000, Request{Op: OpGet, ID: uint64(2*i + 2), Key: []byte("k")})
+		if r := fx.lastReply(t, tn.Queue); r.Status != StOK || r.ID != uint64(2*i+2) || string(r.Val) != v {
+			t.Fatalf("GET after PUT %q returned %+v (%q)", v, r, r.Val)
+		}
+	}
+	if tn.PersistErrs != 0 {
+		t.Fatalf("persist errors %d", tn.PersistErrs)
+	}
+}
+
+// TestNestedReplyKeepsBothPayloads sends a reply from inside another
+// reply's transmit: tenant 1's request is served while tenant 0's reply is
+// on its way out. Both replies are built in the server's one reply buffer,
+// so the nested reply overwrites the outer one's bytes; the outer frame
+// must still carry its own payload, because UDPSendToQ copied it into the
+// frame before transmitting.
+func TestNestedReplyKeepsBothPayloads(t *testing.T) {
+	fx := newFixture(t, 2, false)
+	t0, t1 := fx.srv.Tenant(0), fx.srv.Tenant(1)
+	outer, inner := bytes.Repeat([]byte("outer"), 20), []byte("in")
+	fx.send(t0, 53000, Request{Op: OpPut, ID: 1, Key: []byte("a"), Val: outer})
+	fx.send(t1, 53001, Request{Op: OpPut, ID: 2, Key: []byte("b"), Val: inner})
+
+	fx.nic.onXmit = func() { fx.send(t1, 53001, Request{Op: OpGet, ID: 4, Key: []byte("b")}) }
+	fx.send(t0, 53000, Request{Op: OpGet, ID: 3, Key: []byte("a")})
+	if r := fx.lastReply(t, t0.Queue); r.Status != StOK || r.ID != 3 || !bytes.Equal(r.Val, outer) {
+		t.Fatalf("outer reply %+v (%q)", r, r.Val)
+	}
+	if r := fx.lastReply(t, t1.Queue); r.Status != StOK || r.ID != 4 || !bytes.Equal(r.Val, inner) {
+		t.Fatalf("nested reply %+v (%q)", r, r.Val)
+	}
+	// The nested reply did reuse the buffer the outer one was built in.
+	if r, err := DecodeResponse(fx.srv.resp); err != nil || r.ID != 4 {
+		t.Fatalf("reply buffer holds %+v (%v), want the nested reply", r, err)
 	}
 }

@@ -321,13 +321,14 @@ func MultiFlowDir(tb *MultiFlowTestbed, flows int, dir Direction, opt Options) (
 			if stopped {
 				return
 			}
-			ws := *list
-			*list = nil
-			for _, w := range ws {
+			// Resumes only get scheduled here, so nothing parks while
+			// the list is walked and its storage is reused.
+			for _, w := range *list {
 				// Blocked sender wakeup (scheduler cost + latency).
 				tb.K.Acct.Charge(sim.CostProcessWakeup / 2)
 				tb.M.Loop.After(appWakeLatency, w)
 			}
+			*list = (*list)[:0]
 		}
 	}
 	hookWake(tb.EthIfc, &ethWaiters)

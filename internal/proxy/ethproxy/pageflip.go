@@ -31,6 +31,7 @@ const slotsPerPage = mem.PageSize / RxSlotSize
 // starves, large enough that recycle costs amortise.
 const recycleThreshold = 16
 
+// pageGroup collects one page's slot-packed references in a batch.
 type pageGroup struct {
 	iova mem.Addr
 	mask uint
@@ -38,26 +39,37 @@ type pageGroup struct {
 	bad  bool // duplicate slot: treat every member as loose
 }
 
-// netifRxBatchFlip delivers one decoded RX batch under GuardPageFlip.
+// netifRxBatchFlip delivers one decoded RX batch under GuardPageFlip. refs
+// holds at most MaxRxBatch references (DecodeRxBatch's bound), so the
+// grouping runs on arrays of that size: pages in order of first
+// appearance, found by linear scan, and the references that cannot join a
+// page.
 func (p *Proxy) netifRxBatchFlip(q int, refs []RxRef) {
-	var groups []*pageGroup
-	idx := make(map[mem.Addr]*pageGroup, len(refs)/slotsPerPage+1)
-	var loose []RxRef
+	var groups [MaxRxBatch]pageGroup
+	var loose [MaxRxBatch]RxRef
+	ng, nl := 0, 0
 	for _, r := range refs {
 		iova := mem.Addr(r.IOVA)
 		n := int(r.Len)
 		if n <= 0 || n > RxSlotSize || iova%RxSlotSize != 0 {
 			// Not slot-packed: cannot participate in page coverage.
 			// netifRx applies its own length/range validation.
-			loose = append(loose, r)
+			loose[nl] = r
+			nl++
 			continue
 		}
 		page := mem.PageAlign(iova)
-		g := idx[page]
+		var g *pageGroup
+		for i := range groups[:ng] {
+			if groups[i].iova == page {
+				g = &groups[i]
+				break
+			}
+		}
 		if g == nil {
-			g = &pageGroup{iova: page}
-			idx[page] = g
-			groups = append(groups, g)
+			g = &groups[ng]
+			g.iova = page
+			ng++
 		}
 		slot := int(iova-page) / RxSlotSize
 		if g.mask&(1<<slot) != 0 {
@@ -68,7 +80,8 @@ func (p *Proxy) netifRxBatchFlip(q int, refs []RxRef) {
 	}
 
 	flipped := 0
-	for _, g := range groups {
+	for i := range groups[:ng] {
+		g := &groups[i]
 		full := !g.bad && g.mask == 1<<slotsPerPage-1
 		delivered := false
 		if full && p.DF.ValidateRange(g.iova, mem.PageSize) {
@@ -122,7 +135,7 @@ func (p *Proxy) netifRxBatchFlip(q int, refs []RxRef) {
 			p.pendingRecycle[q] = append(p.pendingRecycle[q], uint64(g.iova))
 		}
 	}
-	for _, r := range loose {
+	for _, r := range loose[:nl] {
 		p.netifRx(q, mem.Addr(r.IOVA), int(r.Len))
 	}
 	if flipped > 0 {

@@ -1,16 +1,19 @@
 package sudml
 
 import (
+	"bytes"
 	"testing"
 
 	"sud/internal/devices/e1000"
 	"sud/internal/devices/hda"
+	"sud/internal/devices/nvme"
 	"sud/internal/devices/usb"
 	"sud/internal/devices/wifi"
 	"sud/internal/drivers/api"
 	"sud/internal/drivers/e1000e"
 	"sud/internal/drivers/ehci"
 	"sud/internal/drivers/iwl"
+	"sud/internal/drivers/nvmed"
 	"sud/internal/drivers/sndhda"
 	"sud/internal/ethlink"
 	"sud/internal/hw"
@@ -335,6 +338,77 @@ func TestRespawnAdoptsRenamedInterface(t *testing.T) {
 	m.Loop.RunFor(20 * sim.Millisecond)
 	if echoes != 1 {
 		t.Fatalf("echoes through the adopted eth1 = %d, want 1", echoes)
+	}
+	sup.Stop()
+}
+
+// TestRespawnAdoptsRenamedBlockDev is the block twin of
+// TestRespawnAdoptsRenamedInterface: the supervised controller registered as
+// nvme1 because another controller's unsupervised driver held nvme0.
+// Killing that driver frees nvme0, and nvmed always asks for "nvme0", so
+// the supervised driver's respawn must be handed the name its supervisor
+// recovers. Otherwise it registers a fresh nvme0, nvme1 stays recovering
+// and the supervisor restarts over and over.
+func TestRespawnAdoptsRenamedBlockDev(t *testing.T) {
+	m := hw.NewMachine(hw.DefaultPlatform())
+	k := kernel.New(m)
+	ctrlA := nvme.New(m.Loop, pci.MakeBDF(2, 0, 0), 0xFEC00000, nvme.MultiQueueParams(1))
+	m.AttachDevice(ctrlA)
+	ctrlB := nvme.New(m.Loop, pci.MakeBDF(2, 1, 0), 0xFEC40000, nvme.MultiQueueParams(2))
+	m.AttachDevice(ctrlB)
+	seeded := bytes.Repeat([]byte{0x5A}, nvme.BlockSize)
+	ctrlB.SeedMedia(9, seeded)
+
+	procA, err := StartQ(k, ctrlA, nvmed.NewQ(1), "nvmed-a", 1200, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sup, err := SuperviseBlock(k, ctrlB, nvmed.NewQ(2), "nvmed-b", "nvme1", 1201, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev, err := k.Blk.Dev("nvme1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sup.BlkShadow == nil || dev.Shadow() != sup.BlkShadow {
+		t.Fatal("the supervisor does not shadow nvme1")
+	}
+	if err := dev.Up(); err != nil {
+		t.Fatal(err)
+	}
+
+	procA.Kill()
+	if _, err := k.Blk.Dev("nvme0"); err == nil {
+		t.Fatal("nvme0 survived its unsupervised driver's kill")
+	}
+	sup.Proc().Kill()
+	m.Loop.RunFor(100 * sim.Millisecond)
+	if sup.Restarts != 1 {
+		t.Fatalf("restarts = %d, want 1", sup.Restarts)
+	}
+	if _, err := k.Blk.Dev("nvme0"); err == nil {
+		t.Fatal("the respawn registered a fresh nvme0 instead of adopting nvme1")
+	}
+	cur, err := k.Blk.Dev("nvme1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cur != dev || cur.Recovering() || !cur.IsUp() {
+		t.Fatalf("nvme1 not adopted: same=%v recovering=%v up=%v", cur == dev, cur.Recovering(), cur.IsUp())
+	}
+	var got []byte
+	if err := cur.ReadAt(9, func(data []byte, err error) {
+		if err != nil {
+			t.Errorf("read through the adopted nvme1: %v", err)
+		}
+		got = bytes.Clone(data)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	m.Loop.RunFor(sim.Millisecond)
+	if !bytes.Equal(got, seeded) {
+		t.Fatal("the read through the adopted nvme1 did not return the seeded block")
 	}
 	sup.Stop()
 }

@@ -206,11 +206,13 @@ func (s *Supervisor) attachShadows() {
 }
 
 func (s *Supervisor) start(gen int) error {
-	name := s.Name
+	name, blkName := s.Name, ""
 	if gen > 0 {
-		name = fmt.Sprintf("%s-r%d", s.Name, gen)
+		// A respawn registers as the block device under supervision,
+		// whatever name its driver asks for, so it adopts that device.
+		name, blkName = fmt.Sprintf("%s-r%d", s.Name, gen), s.blkName
 	}
-	proc, err := StartQ(s.K, s.Dev, s.Driver, name, s.UID, s.Queues)
+	proc, err := startQ(s.K, s.Dev, s.Driver, name, s.UID, s.Queues, blkName)
 	if err != nil {
 		return err
 	}

@@ -78,6 +78,12 @@ type Process struct {
 	irqHandler func()
 	ki         *ethproxy.KernelIface
 
+	// blkName, when set, is the name RegisterBlockDev registers under in
+	// place of the one the driver asks for: a supervisor's respawn must
+	// come back as the device it recovers, which the uniquing template
+	// may have named differently.
+	blkName string
+
 	// sliceAddrs maps handed-out DMA slice identities (pointer to first
 	// byte) to bus addresses, enabling zero-copy netif_rx.
 	sliceAddrs map[*byte]mem.Addr
@@ -185,10 +191,17 @@ func Start(k *kernel.Kernel, dev pci.Device, drv api.Driver, name string, uid in
 // service thread (and CPU account) per simulated CPU/queue, plus the shared
 // urgent lane for forwarded interrupts. queues=1 is exactly Start.
 func StartQ(k *kernel.Kernel, dev pci.Device, drv api.Driver, name string, uid, queues int) (*Process, error) {
+	return startQ(k, dev, drv, name, uid, queues, "")
+}
+
+// startQ is StartQ registering the driver's block device as blkName when
+// that is set.
+func startQ(k *kernel.Kernel, dev pci.Device, drv api.Driver, name string, uid, queues int, blkName string) (*Process, error) {
 	p, err := newShellQ(k, dev, drv, name, uid, queues, false)
 	if err != nil {
 		return nil, err
 	}
+	p.blkName = blkName
 	if err := p.probeDriver(); err != nil {
 		return nil, err
 	}
@@ -1176,6 +1189,9 @@ func (e *env) RegisterBlockDev(name string, geom api.BlockGeometry, dev api.Bloc
 	}
 	if p.Blk != nil {
 		return nil, fmt.Errorf("sudml: block device already registered")
+	}
+	if p.blkName != "" {
+		name = p.blkName
 	}
 	p.blockdev = dev
 	ki := &blkproxy.KernelIface{Acct: p.K.Acct, Mem: p.K.M.Mem, Blk: p.K.Blk}

@@ -28,6 +28,10 @@ type Client struct {
 	Tenants []*TenantLoad
 	bySport map[uint16]*conn
 	stopped bool
+
+	// req is issue's request encode buffer: AppendUDPFrame copies it into
+	// the connection's lastReq, so one buffer serves every connection.
+	req []byte
 }
 
 // TenantLoad aggregates one tenant's client-side view.
@@ -163,8 +167,9 @@ func (cn *conn) issue() {
 	}
 	cn.inflight = req.ID
 	cn.firstSent = cn.c.loop.Now()
+	cn.c.req = kvserve.AppendRequest(cn.c.req[:0], req)
 	cn.lastReq = netstack.AppendUDPFrame(cn.lastReq[:0], [6]byte(CliMAC), [6]byte(SrvMAC), CliIP, SrvIP,
-		cn.sport, cn.t.Port, kvserve.EncodeRequest(req))
+		cn.sport, cn.t.Port, cn.c.req)
 	cn.t.Sent++
 	cn.xmit()
 }
