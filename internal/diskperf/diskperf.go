@@ -402,7 +402,7 @@ func measureWindows(tb *Testbed, opt netperf.Options, completed *uint64) Result 
 	sqdbBase := tb.Ctrl.SQDoorbellWrites
 	latBase := make([]trace.Hist, tb.Queues)
 	for q := range latBase {
-		latBase[q] = *tb.Dev.QueueLatency(q)
+		latBase[q] = tb.Dev.QueueLatency(q).Clone()
 	}
 	var qBase []netperf.QueueReport
 	var wakeBase, guardBase uint64

@@ -77,6 +77,37 @@ func TestCompletionsBatchPerDoorbell(t *testing.T) {
 	}
 }
 
+// TestSeededCheck pins the kill and breach harnesses' read check: a read
+// passes only as one whole block of its own LBA's seeded byte, so an
+// error-free wrong length, any one wrong byte or another LBA's block
+// counts as an error. The check reads back what seedPattern wrote.
+func TestSeededCheck(t *testing.T) {
+	tb, err := NewSupervisedTestbed(2, hw.DefaultPlatform())
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedPattern(tb)
+	for lba := uint64(0); lba < seedSpan; lba++ {
+		b := tb.Ctrl.PeekMedia(lba)
+		if !seeded(lba, b) {
+			t.Fatalf("lba %d: its seeded block fails the check", lba)
+		}
+		if seeded(lba, b[:len(b)-1]) || seeded(lba, append(b, b[0])) {
+			t.Fatalf("lba %d: a wrong length passes", lba)
+		}
+		if seeded((lba+1)%seedSpan, b) {
+			t.Fatalf("lba %d: passes as lba %d", lba, (lba+1)%seedSpan)
+		}
+		for _, i := range []int{0, int(lba) * 61, len(b) - 1} {
+			b[i]++
+			if seeded(lba, b) {
+				t.Fatalf("lba %d: byte %d wrong passes", lba, i)
+			}
+			b[i]--
+		}
+	}
+}
+
 // TestKillRecoveryInvisible drives the recovery smoke the CI step records:
 // kill -9 of the supervised nvmed process mid-saturation must complete
 // every request with correct data (zero app-visible errors), replay the

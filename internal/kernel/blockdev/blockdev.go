@@ -27,6 +27,7 @@ import (
 
 	"sud/internal/drivers/api"
 	"sud/internal/fifo"
+	"sud/internal/flatmap"
 	"sud/internal/kernel/shadow"
 	"sud/internal/sim"
 	"sud/internal/trace"
@@ -102,7 +103,7 @@ func (m *Manager) Register(name string, geom api.BlockGeometry, drv api.BlockDev
 	if geom.BlockSize <= 0 || geom.Blocks == 0 {
 		return nil, fmt.Errorf("blockdev: bad geometry %+v", geom)
 	}
-	d := &Dev{Name: name, Geom: geom, mgr: m, drv: drv, inflight: make(map[uint64]request)}
+	d := &Dev{Name: name, Geom: geom, mgr: m, drv: drv}
 	nq := drv.Queues()
 	if nq < 1 {
 		nq = 1
@@ -144,8 +145,11 @@ func (m *Manager) Unregister(name string) {
 	for d.flushQ.Len() > 0 {
 		d.endFlush(d.flushQ.Pop(), ErrDown)
 	}
-	for tag, r := range d.inflight {
-		delete(d.inflight, tag)
+	for {
+		_, r, ok := d.inflight.Pop()
+		if !ok {
+			break
+		}
 		r.cb.call(nil, ErrDown)
 	}
 	for q := range d.queues {
@@ -191,7 +195,7 @@ func (m *Manager) BeginRecovery(name string) (*Dev, error) {
 		waiting += d.queues[q].waiting.Len()
 	}
 	d.Flight.Recordf(trace.FPark, "%s epoch %d: %d in flight, %d queued parked",
-		name, d.epoch, len(d.inflight), waiting)
+		name, d.epoch, d.inflight.Len(), waiting)
 	return d, nil
 }
 
@@ -287,8 +291,11 @@ func (m *Manager) Quarantine(name string) {
 	for d.flushQ.Len() > 0 {
 		d.endFlush(d.flushQ.Pop(), ErrDown)
 	}
-	for tag, r := range d.inflight {
-		delete(d.inflight, tag)
+	for {
+		_, r, ok := d.inflight.Pop()
+		if !ok {
+			break
+		}
 		r.cb.call(nil, ErrDown)
 	}
 	d.barrier = nil
@@ -420,7 +427,7 @@ type Dev struct {
 	replay     []fifo.Queue[shadow.PendingBlock]
 
 	queues   []QueueCtx
-	inflight map[uint64]request
+	inflight flatmap.Map[uint64, request]
 	nextTag  uint64
 
 	// free holds write-payload buffers (Geom.BlockSize bytes each) whose
@@ -534,7 +541,7 @@ func (d *Dev) Down() error {
 	if !d.up {
 		return nil
 	}
-	busy := len(d.inflight) > 0 || d.barrier != nil || d.flushQ.Len() > 0
+	busy := d.inflight.Len() > 0 || d.barrier != nil || d.flushQ.Len() > 0
 	for q := range d.queues {
 		busy = busy || d.queues[q].waiting.Len() > 0
 	}
@@ -549,7 +556,7 @@ func (d *Dev) Down() error {
 func (d *Dev) IsUp() bool { return d.up }
 
 // InFlight reports requests submitted but not yet completed.
-func (d *Dev) InFlight() int { return len(d.inflight) }
+func (d *Dev) InFlight() int { return d.inflight.Len() }
 
 // QueueForLBA is the submission steering hash: the queue a block lands on
 // among nq queues. Fibonacci hashing spreads sequential LBAs uniformly, so
@@ -651,7 +658,7 @@ func (d *Dev) pumpBarrier() {
 		d.barrier = d.flushQ.Pop()
 	}
 	b := d.barrier
-	if b.dispatched || len(d.inflight) != 0 {
+	if b.dispatched || d.inflight.Len() != 0 {
 		return
 	}
 	b.dispatched = true
@@ -724,16 +731,16 @@ func (d *Dev) dispatch(q int, req api.BlockRequest, cb done) bool {
 	qc := &d.queues[q]
 	req.Tag = d.nextTag
 	d.nextTag++
-	d.inflight[req.Tag] = request{q: q, write: req.Write, flush: req.Flush,
-		at: d.mgr.Loop.Now(), cb: cb, data: req.Data}
+	d.inflight.Put(req.Tag, request{q: q, write: req.Write, flush: req.Flush,
+		at: d.mgr.Loop.Now(), cb: cb, data: req.Data})
 	d.mgr.Trace.Event(trace.ClassBlk, q, req.Tag, trace.HopSubmit)
 	if err := d.drv.Submit(q, req); err != nil {
-		delete(d.inflight, req.Tag)
+		d.inflight.Delete(req.Tag)
 		return false
 	}
 	// A driver may complete synchronously inside Submit; the log must not
 	// keep (and later replay) a request whose completion was delivered.
-	if _, live := d.inflight[req.Tag]; live && d.shadow != nil {
+	if d.inflight.Has(req.Tag) && d.shadow != nil {
 		d.shadow.RecordSubmit(q, req)
 	}
 	switch {
@@ -757,12 +764,11 @@ func (d *Dev) dispatch(q int, req api.BlockRequest, cb done) bool {
 // calls the same entry after validating and guard-copying the untrusted
 // reference.
 func (d *Dev) Complete(q int, tag uint64, err error, data []byte) {
-	r, ok := d.inflight[tag]
+	r, ok := d.inflight.Delete(tag)
 	if !ok {
 		d.BadCompletions++
 		return
 	}
-	delete(d.inflight, tag)
 	if d.shadow != nil {
 		d.shadow.RecordComplete(tag)
 	}
@@ -923,7 +929,7 @@ func (d *Dev) CompleteRecovery() (int, error) {
 	// died; when the last of them completes (replayed or raced), the
 	// recovery has drained.
 	d.drainBelow = d.nextTag
-	d.drainLeft = len(d.inflight)
+	d.drainLeft = d.inflight.Len()
 	d.Flight.Recordf(trace.FReplay, "%s epoch %d: %d logged requests scheduled for replay",
 		d.Name, d.epoch, n)
 	if d.drainLeft == 0 {
@@ -963,7 +969,7 @@ func (d *Dev) BeginQueueRecovery(q int) {
 	qc.Epoch++
 	qc.drainBelow = d.nextTag
 	qc.drainLeft = 0
-	for _, r := range d.inflight {
+	for _, r := range d.inflight.All() {
 		if r.q == qc.ID {
 			qc.drainLeft++
 		}

@@ -43,6 +43,7 @@ import (
 
 	"sud/internal/drivers/api"
 	"sud/internal/fifo"
+	"sud/internal/flatmap"
 )
 
 // PendingBlock is one logged in-flight block request: the queue it was
@@ -62,7 +63,7 @@ type Block struct {
 	Geom api.BlockGeometry
 
 	seq uint64
-	log map[uint64]PendingBlock // tag → pending request
+	log flatmap.Map[uint64, PendingBlock] // tag → pending request
 
 	// Replayed counts requests re-submitted across all recoveries.
 	Replayed uint64
@@ -71,7 +72,7 @@ type Block struct {
 // NewBlock returns an empty block shadow for a device with the given
 // geometry.
 func NewBlock(geom api.BlockGeometry) *Block {
-	return &Block{Geom: geom, log: make(map[uint64]PendingBlock)}
+	return &Block{Geom: geom}
 }
 
 // RecordSubmit logs one request handed to the driver on queue q. The log
@@ -80,7 +81,7 @@ func NewBlock(geom api.BlockGeometry) *Block {
 // RecordComplete has erased the entry, so the entry outlives a driver that
 // dies without completing.
 func (s *Block) RecordSubmit(q int, req api.BlockRequest) {
-	s.log[req.Tag] = PendingBlock{Q: q, Req: req, Seq: s.seq}
+	s.log.Put(req.Tag, PendingBlock{Q: q, Req: req, Seq: s.seq})
 	s.seq++
 }
 
@@ -88,11 +89,11 @@ func (s *Block) RecordSubmit(q int, req api.BlockRequest) {
 // future recovery must not replay it (a write replayed after completing
 // would be harmlessly idempotent, but a read would complete twice).
 func (s *Block) RecordComplete(tag uint64) {
-	delete(s.log, tag)
+	s.log.Delete(tag)
 }
 
 // Pending reports the logged in-flight request count.
-func (s *Block) Pending() int { return len(s.log) }
+func (s *Block) Pending() int { return s.log.Len() }
 
 // PendingByQueue returns the log split per queue (clamped to nq queues),
 // each queue's requests in original submission order — the replay schedule.
@@ -104,7 +105,7 @@ func (s *Block) PendingByQueue(nq int) [][]PendingBlock {
 		nq = 1
 	}
 	out := make([][]PendingBlock, nq)
-	for _, p := range s.log {
+	for _, p := range s.log.All() {
 		q := p.Q
 		if q < 0 || q >= nq {
 			q = 0
@@ -128,7 +129,7 @@ func (s *Block) PendingForQueue(q, nq int) []PendingBlock {
 		nq = 1
 	}
 	var out []PendingBlock
-	for _, p := range s.log {
+	for _, p := range s.log.All() {
 		pq := p.Q
 		if pq < 0 || pq >= nq {
 			pq = 0
@@ -144,7 +145,7 @@ func (s *Block) PendingForQueue(q, nq int) []PendingBlock {
 // Reset drops the log (device unregistered while recovering: the parked
 // requests were failed, so there is nothing left to replay).
 func (s *Block) Reset() {
-	s.log = make(map[uint64]PendingBlock)
+	s.log.Clear()
 }
 
 // sortBySeq orders a replay slice by submission sequence (insertion sort:

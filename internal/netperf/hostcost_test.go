@@ -12,9 +12,11 @@ import (
 // TestBootHostCost pins what booting the page-flip multi-flow Q=4 testbed
 // (the net_bidi benchmark's) costs the host. DMA pages are backed on first
 // touch, so the boot backs a handful of guest pages; backing them eagerly
-// took 1,288 pages and 5.7 MiB. It allocates about 351 KiB, bounded at
-// about 1.5x that, since the uchan rings lost their residency histograms
-// and IO page-table entries shrank to one word (585 KiB before).
+// took 1,288 pages and 5.7 MiB. It allocates about 204 KiB, bounded at
+// about 1.5x that, since latency histograms allocate only the octaves they
+// record (352 KiB when each was a dense 14.5 KiB array; 585 KiB before the
+// uchan rings lost their residency histograms and IO page-table entries
+// shrank to one word).
 func TestBootHostCost(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -25,8 +27,8 @@ func TestBootHostCost(t *testing.T) {
 	}
 	pages, alloc := tb.M.Mem.PageCount(), after.TotalAlloc-before.TotalAlloc
 	t.Logf("boot: %d backed pages, %d B allocated", pages, alloc)
-	if pages > 8 || alloc > 528<<10 {
-		t.Fatalf("boot backed %d pages (bound 8) and allocated %d B (bound 528 KiB)", pages, alloc)
+	if pages > 8 || alloc > 305<<10 {
+		t.Fatalf("boot backed %d pages (bound 8) and allocated %d B (bound 305 KiB)", pages, alloc)
 	}
 }
 

@@ -410,7 +410,7 @@ func MultiFlowDir(tb *MultiFlowTestbed, flows int, dir Direction, opt Options) (
 		qBase[q] = QueueReport{Queue: q, Upcalls: s.Upcalls, Downcalls: s.Downcalls,
 			Doorbells: s.Doorbells, Wakeups: s.Wakeups, SpinPickups: s.SpinPickups}
 		iq := tb.EthIfc.Queue(q)
-		rxLatBase[q], txLatBase[q] = iq.RxLat, iq.TxLat
+		rxLatBase[q], txLatBase[q] = iq.RxLat.Clone(), iq.TxLat.Clone()
 	}
 	wakeBase := tb.EthProc.Chan.Stats().Wakeups + tb.Ne2kProc.Chan.Stats().Wakeups
 

@@ -29,6 +29,7 @@ import (
 
 	"sud/internal/drivers/api"
 	"sud/internal/fifo"
+	"sud/internal/flatmap"
 	"sud/internal/kernel/blockdev"
 	"sud/internal/mem"
 	"sud/internal/proxy/pciaccess"
@@ -119,7 +120,7 @@ type Proxy struct {
 	stalled []bool
 	// tagSlot maps an in-flight tag to its (queue, slot) so completion
 	// releases the right pool entry.
-	tagSlot map[uint64]int // packed q*SlotsPerQueue + slot
+	tagSlot flatmap.Map[uint64, int] // packed q*SlotsPerQueue + slot
 
 	// GuardMode selects the read-payload TOCTOU-guard strategy.
 	GuardMode int
@@ -156,7 +157,7 @@ type Proxy struct {
 	// before it are still outstanding — is a flush lie, rejected before
 	// the block core hears "durable".
 	barrierSeq    uint64
-	inFlightFlush *flushState
+	inFlightFlush flushState
 
 	// Durability counters: what this proxy told the driver versus what
 	// the driver acked — the kernel-side half of flush-lie attribution
@@ -192,8 +193,9 @@ type Proxy struct {
 	RecycleStaleAck  uint64 // acks carrying a dead incarnation's epoch
 }
 
-// flushState is the one barrier the driver currently holds.
+// flushState is the one barrier the driver currently holds, if held.
 type flushState struct {
+	held    bool
 	barrier uint64
 	tag     uint64
 }
@@ -251,7 +253,6 @@ func newProxy(ki *KernelIface, df *pciaccess.DeviceFile, c *uchan.MultiChan, geo
 		pools:          make([]*pciaccess.Alloc, q),
 		free:           make([][]int, q),
 		stalled:        make([]bool, q),
-		tagSlot:        make(map[uint64]int),
 		QueueComps:     make([]uint64, q),
 		QueueBatches:   make([]uint64, q),
 		pendingRecycle: make([][]uint64, q),
@@ -405,7 +406,7 @@ func (d *proxyDev) Submit(q int, req api.BlockRequest) error {
 		p.FUAIssued++
 	}
 	p.free[q] = p.free[q][:len(p.free[q])-1]
-	p.tagSlot[req.Tag] = q*SlotsPerQueue + slot
+	p.tagSlot.Put(req.Tag, q*SlotsPerQueue+slot)
 	return nil
 }
 
@@ -413,7 +414,7 @@ func (d *proxyDev) Submit(q int, req api.BlockRequest) error {
 // flushop.go frame. Barriers need no shared slot (no payload); the
 // accounting — sequence, epoch, tag — is what the completion must echo.
 func (p *Proxy) submitFlush(q int, req api.BlockRequest) error {
-	if p.inFlightFlush != nil {
+	if p.inFlightFlush.held {
 		// The block core dispatches one barrier at a time; a second one
 		// here means a confused caller, not a confused driver.
 		return fmt.Errorf("blkproxy: barrier %d already in flight", p.inFlightFlush.barrier)
@@ -427,7 +428,7 @@ func (p *Proxy) submitFlush(q int, req api.BlockRequest) error {
 		return fmt.Errorf("blkproxy: flush upcall: %w", err)
 	}
 	p.FlushesIssued++
-	p.inFlightFlush = &flushState{barrier: p.barrierSeq, tag: req.Tag}
+	p.inFlightFlush = flushState{held: true, barrier: p.barrierSeq, tag: req.Tag}
 	return nil
 }
 
@@ -567,19 +568,19 @@ func (p *Proxy) RearmQueue(q int) {
 	if q < 0 || q >= len(p.qepoch) {
 		return
 	}
-	for tag, packed := range p.tagSlot {
+	p.tagSlot.DeleteFunc(func(_ uint64, packed int) bool {
 		if packed/SlotsPerQueue != q {
-			continue
+			return false
 		}
-		delete(p.tagSlot, tag)
 		p.free[q] = append(p.free[q], packed%SlotsPerQueue)
-	}
+		return true
+	})
 	p.stalled[q] = false
-	if q == 0 && p.inFlightFlush != nil {
+	if q == 0 && p.inFlightFlush.held {
 		// A barrier the dead incarnation held is gone with it; replay
 		// re-issues the flush under a fresh barrier sequence, and a late
 		// FlushDone for the old one fails the barrier match.
-		p.inFlightFlush = nil
+		p.inFlightFlush = flushState{}
 	}
 	p.flushRecycleQ(q)
 	p.qepoch[q] = p.Dev.QueueEpoch(q)
@@ -614,12 +615,12 @@ func (p *Proxy) handleFlushDone(q int, m uchan.Msg) {
 		return
 	}
 	fs := p.inFlightFlush
-	if fs == nil || fo.Barrier != fs.barrier || fo.Epoch != p.epoch || fo.Tag != fs.tag {
+	if !fs.held || fo.Barrier != fs.barrier || fo.Epoch != p.epoch || fo.Tag != fs.tag {
 		p.CompBadBarrier++
 		return
 	}
-	if outstanding := len(p.tagSlot); outstanding > 0 {
-		p.inFlightFlush = nil
+	if outstanding := p.tagSlot.Len(); outstanding > 0 {
+		p.inFlightFlush = flushState{}
 		p.CompBarrierEarly++
 		p.QueueComps[q]++
 		p.Dev.Complete(q, fs.tag, fmt.Errorf(
@@ -627,7 +628,7 @@ func (p *Proxy) handleFlushDone(q int, m uchan.Msg) {
 			fo.Barrier, outstanding), nil)
 		return
 	}
-	p.inFlightFlush = nil
+	p.inFlightFlush = flushState{}
 	p.QueueComps[q]++
 	if fo.Status != 0 {
 		p.Dev.Complete(q, fs.tag, fmt.Errorf("blkproxy: device flush status %d", fo.Status), nil)
@@ -654,7 +655,7 @@ func (p *Proxy) complete(q int, c CompRef) bool {
 	// Tag validation comes first: a completion for a tag never issued is
 	// dropped before the kernel spends a block-sized guard copy on it —
 	// forged completions must not buy CPU with invalid handles.
-	if _, ok := p.tagSlot[c.Tag]; !ok {
+	if !p.tagSlot.Has(c.Tag) {
 		p.CompBadTag++
 		return false
 	}
@@ -813,11 +814,10 @@ func (p *Proxy) finish(q int, tag uint64, status uint16, data []byte) {
 
 // releaseSlot returns tag's slot to its queue's pool.
 func (p *Proxy) releaseSlot(tag uint64) bool {
-	packed, ok := p.tagSlot[tag]
+	packed, ok := p.tagSlot.Delete(tag)
 	if !ok {
 		return false
 	}
-	delete(p.tagSlot, tag)
 	sq, slot := packed/SlotsPerQueue, packed%SlotsPerQueue
 	p.free[sq] = append(p.free[sq], slot)
 	p.maybeWakeQueue(sq)

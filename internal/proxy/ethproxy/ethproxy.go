@@ -148,10 +148,9 @@ type Proxy struct {
 	qepoch []uint64
 
 	// pendingRecycle holds consumed buffer pages (by IOVA) per queue
-	// awaiting the lazy recycle flush back to the driver; lent dedups them,
-	// so a page whose slots straddle two batches is returned exactly once.
+	// awaiting the lazy recycle flush back to the driver, each once: a page
+	// whose slots straddle two batches is returned exactly once.
 	pendingRecycle [][]uint64
-	lent           []map[uint64]bool
 
 	// Security / robustness counters.
 	RxInvalidRef uint64 // shared-buffer references outside the driver's memory
@@ -204,11 +203,7 @@ func New(ki *KernelIface, df *pciaccess.DeviceFile, c *uchan.MultiChan, name str
 		RxQueueFrames:  make([]uint64, q),
 		RxQueueBatches: make([]uint64, q),
 		pendingRecycle: make([][]uint64, q),
-		lent:           make([]map[uint64]bool, q),
 		guardBufs:      fifo.NewBuffers(maxFrame),
-	}
-	for i := range p.lent {
-		p.lent[i] = make(map[uint64]bool)
 	}
 	for i := 0; i < p.perQueue*q; i++ {
 		qi := i / p.perQueue

@@ -15,6 +15,8 @@ package ethproxy
 // TOCTOU property never depends on driver cooperation.
 
 import (
+	"slices"
+
 	"sud/internal/mem"
 	"sud/internal/proxy/protocol"
 	"sud/internal/sim"
@@ -127,11 +129,11 @@ func (p *Proxy) netifRxBatchFlip(q int, refs []RxRef) {
 		// Return the page whether it flipped or not: under page flip a
 		// page-aware driver re-arms descriptors only on recycle, so the
 		// recycle lane doubles as the ownership token for pages whose
-		// frames went through the guard-copy fallback. lent dedups pages
-		// whose slots straddle batches; the FIFO append order matches the
-		// driver's descriptor consumption order.
-		if !p.lent[q][uint64(g.iova)] {
-			p.lent[q][uint64(g.iova)] = true
+		// frames went through the guard-copy fallback. A page whose slots
+		// straddle batches is pending once (the list is flushed at
+		// recycleThreshold, so the scan is short); the FIFO append order
+		// matches the driver's descriptor consumption order.
+		if !slices.Contains(p.pendingRecycle[q], uint64(g.iova)) {
 			p.pendingRecycle[q] = append(p.pendingRecycle[q], uint64(g.iova))
 		}
 	}
@@ -164,7 +166,6 @@ func (p *Proxy) flushRecycleQ(q int) {
 		var buf [protocol.MaxRecyclePages]uint64
 		returned := buf[:0]
 		for _, page := range pending[start:end] {
-			delete(p.lent[q], page)
 			if p.DF.PageRevoked(mem.Addr(page)) {
 				// RecyclePage fails only if the device file is gone —
 				// the driver died and teardown reclaimed the page;

@@ -3,7 +3,6 @@ package ethproxy
 import (
 	"bytes"
 	"fmt"
-	"maps"
 	"slices"
 	"testing"
 
@@ -83,8 +82,7 @@ func refRxBatchFlip(p *Proxy, q int, refs []RxRef) {
 				}
 			}
 		}
-		if !p.lent[q][uint64(g.iova)] {
-			p.lent[q][uint64(g.iova)] = true
+		if !slices.Contains(p.pendingRecycle[q], uint64(g.iova)) {
 			p.pendingRecycle[q] = append(p.pendingRecycle[q], uint64(g.iova))
 		}
 	}
@@ -149,8 +147,7 @@ func (r *flipRig) state() string {
 		p.Shootdowns, p.GuardCopiedBytes, p.RecycleUpcalls, p.UpcallErrors)
 	fmt.Fprintf(&b, "df revoked %d faults %d\n", r.df.RevokedPages(), r.df.RevokedFaults)
 	for q := range p.pendingRecycle {
-		fmt.Fprintf(&b, "q%d pending %x lent %x stack frames %d\n", q, p.pendingRecycle[q],
-			slices.Sorted(maps.Keys(p.lent[q])), p.Ifc.Queue(q).RxFrames)
+		fmt.Fprintf(&b, "q%d pending %x stack frames %d\n", q, p.pendingRecycle[q], p.Ifc.Queue(q).RxFrames)
 	}
 	return b.String()
 }
@@ -219,7 +216,7 @@ func flipBatches(pool mem.Addr, data []byte) (qs []int, batches [][]RxRef) {
 // references, references straddling a page, half-covered pages and memory
 // the driver does not own. Against the map-based grouping it replaced,
 // every list must deliver the same frames in the same order, each flipped
-// or guard-copied alike, and leave the same counters and the same lent
+// or guard-copied alike, and leave the same counters and the same pending
 // pages and recycle order. A final flush sends the same recycle upcalls.
 func FuzzRxBatchFlip(f *testing.F) {
 	f.Add([]byte{0x00, 0x00, 0x00, 0x80, 0x01, 0x00}) // one page fully tiled

@@ -19,6 +19,7 @@ package pciaccess
 import (
 	"fmt"
 
+	"sud/internal/flatmap"
 	"sud/internal/iommu"
 	"sud/internal/irq"
 	"sud/internal/kernel"
@@ -78,7 +79,7 @@ type DeviceFile struct {
 	// device cannot DMA to it (the PTE is gone) and the driver process's
 	// window onto it is closed — ValidateRange/PhysFor refuse references
 	// into it and driver-side stores through the UML DMA API fault.
-	revoked map[mem.Addr]mem.Addr
+	revoked flatmap.Map[mem.Addr, mem.Addr]
 
 	vector       irq.Vector
 	irqRequested bool
@@ -412,10 +413,8 @@ func (df *DeviceFile) RevokePage(iova mem.Addr) (mem.Addr, error) {
 		return 0, fmt.Errorf("pciaccess: device file closed")
 	}
 	page := mem.PageAlign(iova)
-	if df.revoked != nil {
-		if _, dup := df.revoked[page]; dup {
-			return 0, fmt.Errorf("pciaccess: page %#x already revoked", uint64(page))
-		}
+	if df.revoked.Has(page) {
+		return 0, fmt.Errorf("pciaccess: page %#x already revoked", uint64(page))
 	}
 	owned := false
 	for _, a := range df.allocs {
@@ -434,10 +433,7 @@ func (df *DeviceFile) RevokePage(iova mem.Addr) (mem.Addr, error) {
 		// mapping down first): nothing to flip.
 		return 0, fmt.Errorf("pciaccess: page %#x not mapped", uint64(page))
 	}
-	if df.revoked == nil {
-		df.revoked = make(map[mem.Addr]mem.Addr)
-	}
-	df.revoked[page] = phys
+	df.revoked.Put(page, phys)
 	return phys, nil
 }
 
@@ -451,7 +447,7 @@ func (df *DeviceFile) RecyclePage(iova mem.Addr) error {
 		return fmt.Errorf("pciaccess: device file closed")
 	}
 	page := mem.PageAlign(iova)
-	phys, ok := df.revoked[page]
+	phys, ok := df.revoked.Get(page)
 	if !ok {
 		return fmt.Errorf("pciaccess: page %#x is not revoked", uint64(page))
 	}
@@ -466,29 +462,25 @@ func (df *DeviceFile) RecyclePage(iova mem.Addr) error {
 	if err := dom.Map(page, phys, iommu.PermRW); err != nil {
 		return err
 	}
-	delete(df.revoked, page)
+	df.revoked.Delete(page)
 	return nil
 }
 
 // PageRevoked reports whether the page containing iova is currently flipped
 // to the kernel.
 func (df *DeviceFile) PageRevoked(iova mem.Addr) bool {
-	if len(df.revoked) == 0 {
-		return false
-	}
-	_, ok := df.revoked[mem.PageAlign(iova)]
-	return ok
+	return df.revoked.Has(mem.PageAlign(iova))
 }
 
 // RevokedPages returns the number of pages currently flipped to the kernel.
-func (df *DeviceFile) RevokedPages() int { return len(df.revoked) }
+func (df *DeviceFile) RevokedPages() int { return df.revoked.Len() }
 
 func (df *DeviceFile) rangeRevoked(iova mem.Addr, n int) bool {
-	if len(df.revoked) == 0 {
+	if df.revoked.Len() == 0 {
 		return false
 	}
 	for p := mem.PageAlign(iova); p < iova+mem.Addr(n); p += mem.PageSize {
-		if _, ok := df.revoked[p]; ok {
+		if df.revoked.Has(p) {
 			return true
 		}
 	}
@@ -860,7 +852,7 @@ func (df *DeviceFile) Close() {
 	}
 	df.allocs = nil
 	df.usedPages = 0
-	df.revoked = nil
+	df.revoked = flatmap.Map[mem.Addr, mem.Addr]{}
 	if df.attached {
 		// Only the domain owner detaches the bus identity: a never-promoted
 		// standby closing must not rip the attachment out from under the

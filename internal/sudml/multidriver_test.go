@@ -443,3 +443,33 @@ func TestSupervisorGivesUpOnCrashLoop(t *testing.T) {
 		t.Fatalf("restarts = %d, want MaxRestarts=2 then give up", sup.Restarts)
 	}
 }
+
+// TestHealthCheckAllocatesOnlyDriverReply pins the supervisor's periodic probe on an
+// idle, healthy NIC: rescheduling the check and the sync upcall carrying
+// the MII-status ioctl allocate nothing. The one allocation left is the
+// driver's own: e1000e answers the ioctl in a fresh 1-byte slice.
+func TestHealthCheckAllocatesOnlyDriverReply(t *testing.T) {
+	m := hw.NewMachine(hw.DefaultPlatform())
+	k := kernel.New(m)
+	nic := e1000.New(m.Loop, pci.MakeBDF(1, 0, 0), 0xFEB00000, dutMAC, e1000.DefaultParams())
+	m.AttachDevice(nic)
+	sup, err := Supervise(k, nic, e1000e.New(), "e1000e", "eth0", 1001)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ifc, err := k.Net.Iface("eth0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ifc.Up(dutIP); err != nil {
+		t.Fatal(err)
+	}
+	m.Loop.RunFor(4 * sup.CheckEvery)
+	syncs := sup.Proc().Chan.Stats().SyncUpcalls
+	if a := testing.AllocsPerRun(20, func() { m.Loop.RunFor(sup.CheckEvery) }); a > 1 {
+		t.Fatalf("a health check allocates %v times, want at most the driver's reply", a)
+	}
+	if n := sup.Proc().Chan.Stats().SyncUpcalls - syncs; n != 21 {
+		t.Fatalf("%d health ioctls over 21 check periods, want 21", n)
+	}
+}

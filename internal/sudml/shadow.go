@@ -91,6 +91,7 @@ type Supervisor struct {
 	stopped     bool
 	lastBad     bool
 	lastServedQ []uint64 // per-queue driver-produced messages at the previous check
+	checkFn     func()   // s.check, bound once so each rescheduling allocates nothing
 	recovering  bool
 	backingOff  bool // a paced restart is scheduled; don't grade this death again
 	Restarts    int
@@ -167,6 +168,7 @@ func supervise(k *kernel.Kernel, dev pci.Device, drv api.Driver, name, ifName, b
 		blkName:      blkName,
 		Flight:       trace.NewFlight(k.M.Loop, trace.FlightSize),
 	}
+	s.checkFn = s.check
 	s.Policy.Flight = s.Flight
 	if err := s.start(0); err != nil {
 		return nil, err
@@ -298,7 +300,7 @@ func (s *Supervisor) Stop() {
 }
 
 func (s *Supervisor) schedule() {
-	s.K.M.Loop.After(s.CheckEvery, s.check)
+	s.K.M.Loop.After(s.CheckEvery, s.checkFn)
 }
 
 // onDeath is the immediate kill notification: the supervised process died

@@ -129,7 +129,7 @@ type snapshot struct {
 func (tb *Testbed) snap() snapshot {
 	s := snapshot{}
 	for _, tl := range tb.Client.Tenants {
-		s.lat = append(s.lat, tl.Lat)
+		s.lat = append(s.lat, tl.Lat.Clone())
 		s.replies = append(s.replies, tl.Replies)
 	}
 	return s

@@ -12,10 +12,11 @@ import (
 // benchmark's: 4 tenants x 32 connections on 4 queues, both drivers
 // supervised) costs the host. DMA pages and NVMe media are backed on first
 // touch, so the boot backs a handful of guest pages; backing them eagerly
-// took 1,683 pages and 23.5 MiB. It allocates about 542 KiB, bounded at
-// about 1.5x that, since the uchan rings lost their residency histograms,
-// IO page-table entries shrank to one word and the NVMe media index became
-// backed per chunk (954 KiB before).
+// took 1,683 pages and 23.5 MiB. It allocates about 301 KiB, bounded at
+// about 1.5x that, since latency histograms allocate only the octaves they
+// record (544 KiB when each was a dense 14.5 KiB array; 954 KiB before the
+// uchan rings lost their residency histograms, IO page-table entries
+// shrank to one word and the NVMe media index became backed per chunk).
 func TestBootHostCost(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -26,8 +27,8 @@ func TestBootHostCost(t *testing.T) {
 	}
 	pages, alloc := tb.M.Mem.PageCount(), after.TotalAlloc-before.TotalAlloc
 	t.Logf("boot: %d backed pages, %d B allocated", pages, alloc)
-	if pages > 22 || alloc > 812<<10 {
-		t.Fatalf("boot backed %d pages (bound 22) and allocated %d B (bound 812 KiB)", pages, alloc)
+	if pages > 22 || alloc > 452<<10 {
+		t.Fatalf("boot backed %d pages (bound 22) and allocated %d B (bound 452 KiB)", pages, alloc)
 	}
 }
 

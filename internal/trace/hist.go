@@ -16,16 +16,27 @@ const (
 	histMaxExp  = 34               // top octave: ~2^34 ns ≈ 17 s
 	// histBuckets = linear region + one histSub-wide band per shift step.
 	histBuckets = histSub + (histMaxExp-histSubBits)*histSub
+	// histOctaves is the number of histSub-wide blocks bucket indices
+	// 0..histBuckets fall into: the linear region, one block per shift
+	// step and the clamp bucket's block.
+	histOctaves = histBuckets>>histSubBits + 1
 )
 
-// Hist is a fixed-bucket log-linear latency histogram over sim.Duration.
-// It is a value type: snapshot with plain assignment, window with Sub.
+// histBlock is one octave's sub-bucket counts: bucket index i lives in
+// block i>>histSubBits at slot i&(histSub-1).
+type histBlock [histSub]uint64
+
+// Hist is a log-linear latency histogram over sim.Duration. It allocates
+// an octave's block of buckets on the first sample in that octave, so it
+// costs what it records: 256 B empty, 512 B more per octave seen.
+// Assignment copies the block pointers and so shares bucket storage with
+// the original; take a snapshot with Clone and a window with Sub.
 // Recording charges nothing and schedules nothing, so always-on histograms
 // are invisible in virtual time.
 type Hist struct {
-	counts [histBuckets + 1]uint64
-	n      uint64
-	sum    sim.Duration
+	oct [histOctaves]*histBlock
+	n   uint64
+	sum sim.Duration
 }
 
 func histIndex(d sim.Duration) int {
@@ -54,9 +65,20 @@ func histValue(idx int) sim.Duration {
 	return sim.Duration(mant+1)<<uint(shift) - 1
 }
 
+// block returns octave o's block, allocating it on first use.
+func (h *Hist) block(o int) *histBlock {
+	b := h.oct[o]
+	if b == nil {
+		b = new(histBlock)
+		h.oct[o] = b
+	}
+	return b
+}
+
 // Record adds one latency sample.
 func (h *Hist) Record(d sim.Duration) {
-	h.counts[histIndex(d)]++
+	i := histIndex(d)
+	h.block(i >> histSubBits)[i&(histSub-1)]++
 	h.n++
 	h.sum += d
 }
@@ -87,10 +109,15 @@ func (h *Hist) Percentile(p float64) sim.Duration {
 		rank = h.n
 	}
 	var cum uint64
-	for i, c := range h.counts {
-		cum += c
-		if cum >= rank {
-			return histValue(i)
+	for o, b := range &h.oct {
+		if b == nil {
+			continue
+		}
+		for i, c := range b {
+			cum += c
+			if cum >= rank {
+				return histValue(o<<histSubBits + i)
+			}
 		}
 	}
 	return histValue(histBuckets)
@@ -101,26 +128,61 @@ func (h *Hist) PercentileUS(p float64) float64 {
 	return float64(h.Percentile(p)) / float64(sim.Microsecond)
 }
 
-// Sub returns the window delta h − prev (for prev an earlier snapshot of
-// the same histogram).
+// Sub returns the window delta h − prev (for prev an earlier Clone of the
+// same histogram). The delta gets its own blocks, only for octaves whose
+// counts moved.
 func (h *Hist) Sub(prev *Hist) Hist {
 	var d Hist
-	for i := range h.counts {
-		d.counts[i] = h.counts[i] - prev.counts[i]
+	for o := range h.oct {
+		a, p := h.oct[o], prev.oct[o]
+		if a == p {
+			continue
+		}
+		var w histBlock
+		if a != nil {
+			w = *a
+		}
+		if p != nil {
+			for i := range w {
+				w[i] -= p[i]
+			}
+		}
+		if w != (histBlock{}) {
+			*d.block(o) = w
+		}
 	}
 	d.n = h.n - prev.n
 	d.sum = h.sum - prev.sum
 	return d
 }
 
-// Merge adds o's samples into h.
+// Merge adds o's samples into h, allocating h's own block for each octave
+// o has that h lacks.
 func (h *Hist) Merge(o *Hist) {
-	for i, c := range o.counts {
-		h.counts[i] += c
+	for k, b := range &o.oct {
+		if b == nil {
+			continue
+		}
+		dst := h.block(k)
+		for i, c := range b {
+			dst[i] += c
+		}
 	}
 	h.n += o.n
 	h.sum += o.sum
 }
 
-// Reset clears the histogram.
+// Clone returns a copy of h that shares no bucket storage with it: a
+// snapshot that later samples into h leave unchanged.
+func (h *Hist) Clone() Hist {
+	c := Hist{n: h.n, sum: h.sum}
+	for o, b := range &h.oct {
+		if b != nil {
+			*c.block(o) = *b
+		}
+	}
+	return c
+}
+
+// Reset clears the histogram, dropping its blocks.
 func (h *Hist) Reset() { *h = Hist{} }

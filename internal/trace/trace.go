@@ -27,6 +27,7 @@
 package trace
 
 import (
+	"sud/internal/flatmap"
 	"sud/internal/sim"
 )
 
@@ -71,10 +72,10 @@ type Event struct {
 	Run   int
 }
 
+// markKey names one class and queue's stamp table.
 type markKey struct {
 	class string
 	queue int
-	tag   uint64
 }
 
 // Tracer is one machine's span plane plus the cross-layer stamp table. All
@@ -87,13 +88,15 @@ type Tracer struct {
 	events  []Event
 	dropped uint64
 
-	marks map[markKey]sim.Time
+	// marks holds each class and queue's stamps by tag. The outer map only
+	// gains keys; stamps placed and taken churn the inner tables.
+	marks map[markKey]*flatmap.Map[uint64, sim.Time]
 }
 
 // New creates a tracer charging span-event costs to a dedicated "trace"
 // account on cpu. The span plane starts disabled.
 func New(loop *sim.Loop, cpu *sim.CPUStats) *Tracer {
-	return &Tracer{loop: loop, acct: cpu.Account("trace"), marks: make(map[markKey]sim.Time)}
+	return &Tracer{loop: loop, acct: cpu.Account("trace"), marks: make(map[markKey]*flatmap.Map[uint64, sim.Time])}
 }
 
 // Enable turns the span plane on: Event calls record and charge from now on.
@@ -161,7 +164,13 @@ func (t *Tracer) Mark(class string, q int, tag uint64) {
 	if t == nil {
 		return
 	}
-	t.marks[markKey{class, q, tag}] = t.loop.Now()
+	k := markKey{class, q}
+	m := t.marks[k]
+	if m == nil {
+		m = new(flatmap.Map[uint64, sim.Time])
+		t.marks[k] = m
+	}
+	m.Put(tag, t.loop.Now())
 }
 
 // TakeMark removes and returns the stamp for (class, q, tag).
@@ -169,12 +178,11 @@ func (t *Tracer) TakeMark(class string, q int, tag uint64) (sim.Time, bool) {
 	if t == nil {
 		return 0, false
 	}
-	k := markKey{class, q, tag}
-	at, ok := t.marks[k]
-	if ok {
-		delete(t.marks, k)
+	m := t.marks[markKey{class, q}]
+	if m == nil {
+		return 0, false
 	}
-	return at, ok
+	return m.Delete(tag)
 }
 
 // TakeLat pops the stamp and returns the virtual time elapsed since it was

@@ -180,7 +180,7 @@ func (mc *MultiChan) ASendUrgent(m Msg) error { return mc.urgent.ASendUrgent(m) 
 
 // Send performs a synchronous upcall on queue 0 (the control ring: open,
 // stop, ioctl — never the per-queue fast path).
-func (mc *MultiChan) Send(m Msg) (*Msg, error) { return mc.queues[0].Send(m) }
+func (mc *MultiChan) Send(m Msg) (Msg, error) { return mc.queues[0].Send(m) }
 
 // --- driver side ------------------------------------------------------------
 

@@ -339,16 +339,17 @@ func (c *Chan) lazyDoorbell() {
 // Send performs a synchronous upcall (ioctl, open): the caller needs the
 // reply before it can return. A hung driver yields ErrHung — the paper's
 // interruptible upcall (the kernel thread is unblocked with an error).
-func (c *Chan) Send(m Msg) (*Msg, error) {
+// The reply comes back by value, so a sync upcall allocates nothing.
+func (c *Chan) Send(m Msg) (Msg, error) {
 	if c.dead {
-		return nil, ErrDead
+		return Msg{}, ErrDead
 	}
 	c.stats.SyncUpcalls++
 	if c.Hung {
 		// The user aborts (Ctrl-C) after a subjective timeout; no
 		// virtual time model needed beyond the failed call itself.
 		c.kern.Charge(sim.CostUchanEnqueue)
-		return nil, ErrHung
+		return Msg{}, ErrHung
 	}
 	c.nextSeq++
 	m.Seq = c.nextSeq
@@ -363,12 +364,12 @@ func (c *Chan) Send(m Msg) (*Msg, error) {
 	}
 	c.drv.Charge(sim.CostUchanDequeue)
 	if c.DriverHandler == nil {
-		return nil, ErrDead
+		return Msg{}, ErrDead
 	}
 	reply, ok := c.DriverHandler(m)
 	c.kern.Charge(sim.CostUchanDequeue)
 	if !ok {
-		return nil, ErrHung
+		return Msg{}, ErrHung
 	}
 	if c.OnDrainEnd != nil {
 		c.OnDrainEnd()
@@ -379,7 +380,7 @@ func (c *Chan) Send(m Msg) (*Msg, error) {
 	if c.k2u.Len() > 0 && !c.Hung {
 		c.scheduleService()
 	}
-	return &reply, nil
+	return reply, nil
 }
 
 // scheduleService arranges for the driver process to drain its ring,

@@ -350,6 +350,34 @@ func TestWakeupCPUAmortizedPerBatch(t *testing.T) {
 	}
 }
 
+// TestSyncSendAllocatesNothing pins the synchronous upcall (open, stop, the
+// supervisor's health ioctl): the reply comes back by value, so a round
+// trip through a driver that answers from its own storage allocates
+// nothing.
+func TestSyncSendAllocatesNothing(t *testing.T) {
+	f := newFixture()
+	status := []byte("ok")
+	f.c.DriverHandler = func(m Msg) (Msg, bool) {
+		return Msg{Seq: m.Seq, Args: [6]uint64{0, m.Args[0] + 1}, Data: status}, true
+	}
+	var arg uint64
+	if a := testing.AllocsPerRun(200, func() {
+		r, err := f.c.Send(Msg{Op: 7, Args: [6]uint64{arg}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Args[1] != arg+1 || string(r.Data) != "ok" {
+			t.Fatalf("reply %+v to arg %d", r, arg)
+		}
+		arg++
+	}); a != 0 {
+		t.Fatalf("sync upcall allocates %v times", a)
+	}
+	if st := f.c.Stats(); st.SyncUpcalls != 201 {
+		t.Fatalf("sync upcalls = %d, want 201", st.SyncUpcalls)
+	}
+}
+
 // TestRoundTripAllocatesNothing pins the single-ring message path: once the
 // rings and the loop have warmed up, an upcall that wakes the driver (via
 // the deferred doorbell), is drained, answers with a downcall, flushes it
