@@ -13,24 +13,26 @@ import (
 
 // TestBootHostCost pins what booting a block testbed costs the host: the
 // supervised Q=2 one (the blk_kill benchmark's) and the page-flip Q=4 one
-// (blk_read's). DMA pages and NVMe media are backed on first touch, so a
-// boot backs a handful of guest pages; backing them eagerly took 263 pages
-// and 17.2 MiB for the supervised testbed. A boot allocates about 64 KiB
-// and 93 KiB, since latency histograms allocate only the octaves they
-// record (96 KiB and 156 KiB when each was a dense 14.5 KiB array; 235 KiB
-// and 369 KiB before the uchan rings lost their residency histograms, IO
-// page-table entries shrank to one word and the NVMe media index became
-// backed per chunk). The bounds are 88 KiB, under what the dense
-// histograms cost, and 140 KiB, about 1.5x.
+// (blk_read's). DMA pages and NVMe media are backed as they are written, so
+// a boot backs 1.5 KiB and 2.25 KiB of guest memory in 256 B chunks (20 KiB
+// and 28 KiB when a page was backed whole on first touch; backing every
+// DMA page eagerly took 263 pages and 17.2 MiB for the supervised
+// testbed). A boot allocates about 47 KiB and 68 KiB, since latency
+// histograms allocate only the octaves they record and the rings' pages
+// are backed in chunks (64 KiB and 93 KiB when pages were backed whole;
+// 96 KiB and 156 KiB when each histogram was a dense 14.5 KiB array;
+// 235 KiB and 369 KiB before the uchan rings lost their residency
+// histograms, IO page-table entries shrank to one word and the NVMe media
+// index became backed per chunk). The allocation bounds are 60 KiB and
+// 88 KiB, under what whole-page backing cost.
 func TestBootHostCost(t *testing.T) {
 	for _, tc := range []struct {
-		name  string
-		boot  func(hw.Platform) (*Testbed, error)
-		pages int
-		alloc uint64
+		name          string
+		boot          func(hw.Platform) (*Testbed, error)
+		backed, alloc uint64
 	}{
-		{"supervised-q2", func(p hw.Platform) (*Testbed, error) { return NewSupervisedTestbed(2, p) }, 10, 88 << 10},
-		{"flip-q4", func(p hw.Platform) (*Testbed, error) { return NewTestbedFlip(ModeSUD, 4, p) }, 10, 140 << 10},
+		{"supervised-q2", func(p hw.Platform) (*Testbed, error) { return NewSupervisedTestbed(2, p) }, 8 << 10, 60 << 10},
+		{"flip-q4", func(p hw.Platform) (*Testbed, error) { return NewTestbedFlip(ModeSUD, 4, p) }, 8 << 10, 88 << 10},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var before, after runtime.MemStats
@@ -40,11 +42,11 @@ func TestBootHostCost(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pages, alloc := tb.M.Mem.PageCount(), after.TotalAlloc-before.TotalAlloc
-			t.Logf("boot: %d backed pages, %d B allocated", pages, alloc)
-			if pages > tc.pages || alloc > tc.alloc {
-				t.Fatalf("boot backed %d pages (bound %d) and allocated %d B (bound %d KiB)",
-					pages, tc.pages, alloc, tc.alloc>>10)
+			backed, alloc := tb.M.Mem.Backed(), after.TotalAlloc-before.TotalAlloc
+			t.Logf("boot: %d B backed, %d B allocated", backed, alloc)
+			if backed > tc.backed || alloc > tc.alloc {
+				t.Fatalf("boot backed %d B (bound %d KiB) and allocated %d B (bound %d KiB)",
+					backed, tc.backed>>10, alloc, tc.alloc>>10)
 			}
 		})
 	}
@@ -52,8 +54,10 @@ func TestBootHostCost(t *testing.T) {
 
 // TestRespawnHostCost pins what one kill→respawn of the idle supervised Q=2
 // testbed costs the host: the new incarnation's uchan rings, IO page tables
-// and pools. It measures about 47 KiB a respawn, against 154 KiB before the
-// uchan residency histograms went and page-table entries shrank to one word.
+// and pools. It measures about 29 KiB a respawn, bounded at 42 KiB, against
+// 47 KiB when every page the new incarnation touched was backed whole and
+// 154 KiB before the uchan residency histograms went and page-table entries
+// shrank to one word.
 func TestRespawnHostCost(t *testing.T) {
 	tb, err := NewSupervisedTestbed(2, hw.DefaultPlatform())
 	if err != nil {
@@ -76,8 +80,8 @@ func TestRespawnHostCost(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	per := (after.TotalAlloc - before.TotalAlloc) / kills
 	t.Logf("respawn: %d B allocated", per)
-	if per > 96<<10 {
-		t.Fatalf("a respawn allocated %d B (bound 96 KiB)", per)
+	if per > 42<<10 {
+		t.Fatalf("a respawn allocated %d B (bound 42 KiB)", per)
 	}
 }
 

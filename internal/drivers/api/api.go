@@ -78,7 +78,9 @@ type NetDevice interface {
 	// (NETDEV_TX_BUSY).
 	StartXmit(frame []byte) error
 	// DoIoctl handles device-private ioctls (ndo_do_ioctl), e.g.
-	// SIOCGMIIREG in the paper's example.
+	// SIOCGMIIREG in the paper's example. The reply may be the driver's
+	// own storage, valid until the next DoIoctl: a caller that keeps it
+	// copies it.
 	DoIoctl(cmd uint32, arg []byte) ([]byte, error)
 }
 

@@ -135,6 +135,8 @@ type nic struct {
 	// desc is the scratch descriptor StartXmitQ and armRxDesc build before
 	// writeDesc copies it into a ring; nothing runs between the two.
 	desc [e1000.DescSize]byte
+	// ioctlReply holds DoIoctl's answer until the next DoIoctl.
+	ioctlReply [1]byte
 
 	opened  bool
 	removed bool
@@ -421,7 +423,8 @@ func (n *nic) DoIoctl(cmd uint32, arg []byte) ([]byte, error) {
 	switch cmd {
 	case api.IoctlGetMIIStatus:
 		status := n.mmio.Read32(e1000.RegSTATUS)
-		return []byte{byte(status & e1000.StatusLU)}, nil
+		n.ioctlReply[0] = byte(status & e1000.StatusLU)
+		return n.ioctlReply[:], nil
 	default:
 		return nil, fmt.Errorf("e1000e: unsupported ioctl %#x", cmd)
 	}

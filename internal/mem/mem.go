@@ -2,6 +2,11 @@
 // 4 KiB pages. Every byte a device DMAs, every descriptor a driver writes,
 // lives here; nothing in the simulation short-circuits around it, so a DMA to
 // a wrong address corrupts exactly the bytes a real DMA would.
+//
+// The host backs a page in 256 B chunks, each on the first write or view
+// into it, until a write or view spans two chunks; then the page becomes one
+// 4 KiB array. A DMA buffer written far below its page size, such as a
+// 2 KiB packet slot holding a 64 B frame, so costs the host what was written.
 package mem
 
 import (
@@ -43,11 +48,30 @@ func (e *AccessError) Error() string {
 	return fmt.Sprintf("mem: %s of unpopulated physical address %#x", op, uint64(e.Addr))
 }
 
+// chunkSize is the granule a page is backed in until an access spans two
+// of them.
+const chunkSize = 256
+
+const chunksPerPage = PageSize / chunkSize
+
+// poison fills a chunk its page's promotion retires, so a stale view of it
+// reads garbage instead of plausible old bytes (the byte Linux's slab
+// poisons freed objects with).
+const poison = 0x6B
+
+// frame is one page's backing store: nothing until first written or viewed,
+// then the chunks written or viewed so far, then, from the first write or
+// view that spans two chunks, the whole page.
+type frame struct {
+	whole  *[PageSize]byte
+	chunks *[chunksPerPage]*[chunkSize]byte
+}
+
 // Memory is sparse physical memory. The zero value is empty; populate pages
 // with AllocPage/AllocRange, or declare DRAM with AddRAMRange for lazy
 // population on first touch.
 type Memory struct {
-	pages map[Addr]*[PageSize]byte
+	pages map[Addr]frame // pages allocated outside RAM ranges or written or viewed
 	rams  []ramRange
 	holes map[Addr]bool // explicitly freed pages inside RAM ranges
 
@@ -64,7 +88,7 @@ type ramRange struct {
 // New returns empty physical memory.
 func New() *Memory {
 	return &Memory{
-		pages: make(map[Addr]*[PageSize]byte),
+		pages: make(map[Addr]frame),
 		holes: make(map[Addr]bool),
 	}
 }
@@ -85,27 +109,98 @@ func (m *Memory) inRAM(addr Addr) bool {
 	return false
 }
 
-// page returns the backing page for addr, lazily populating RAM pages.
-func (m *Memory) page(addr Addr) (*[PageSize]byte, bool) {
-	base := PageAlign(addr)
-	pg, ok := m.pages[base]
-	if !ok && !m.holes[base] && m.inRAM(base) {
-		pg = new([PageSize]byte)
-		m.pages[base] = pg
-		ok = true
+// lookup returns the backing store of the page at base and whether the page
+// is populated.
+func (m *Memory) lookup(base Addr) (frame, bool) {
+	f, ok := m.pages[base]
+	return f, ok || !m.holes[base] && m.inRAM(base)
+}
+
+// back returns the backing store of the n > 0 bytes at addr, which lie in
+// one page, backing them first if need be: in their chunk if they fit in
+// one, else as the whole page. Promoting a page that held chunks copies
+// them into the page and poisons them.
+func (m *Memory) back(addr Addr, n uint64) ([]byte, bool) {
+	base, off := PageAlign(addr), PageOffset(addr)
+	f, ok := m.lookup(base)
+	if !ok {
+		return nil, false
 	}
-	return pg, ok
+	if f.whole != nil {
+		return f.whole[off : off+n : off+n], true
+	}
+	if i := off / chunkSize; i == (off+n-1)/chunkSize {
+		if f.chunks == nil {
+			f.chunks = new([chunksPerPage]*[chunkSize]byte)
+			m.pages[base] = f
+		}
+		if f.chunks[i] == nil {
+			f.chunks[i] = new([chunkSize]byte)
+		}
+		o := off % chunkSize
+		return f.chunks[i][o : o+n : o+n], true
+	}
+	f.whole = new([PageSize]byte)
+	if f.chunks != nil {
+		for i, c := range f.chunks {
+			if c != nil {
+				copy(f.whole[i*chunkSize:], c[:])
+				for j := range c {
+					c[j] = poison
+				}
+			}
+		}
+		f.chunks = nil
+	}
+	m.pages[base] = f
+	return f.whole[off : off+n : off+n], true
+}
+
+// read copies the page's bytes at off into p, which ends inside the page. A
+// chunk never backed reads zero.
+func (f frame) read(off uint64, p []byte) {
+	if f.whole != nil {
+		copy(p, f.whole[off:])
+		return
+	}
+	for len(p) > 0 {
+		i, o := off/chunkSize, off%chunkSize
+		n := min(uint64(len(p)), chunkSize-o)
+		if f.chunks != nil && f.chunks[i] != nil {
+			copy(p, f.chunks[i][o:])
+		} else {
+			clear(p[:n])
+		}
+		p = p[n:]
+		off += n
+	}
+}
+
+// backed returns the host bytes backing the page.
+func (f frame) backed() uint64 {
+	if f.whole != nil {
+		return PageSize
+	}
+	var n uint64
+	if f.chunks != nil {
+		for _, c := range f.chunks {
+			if c != nil {
+				n += chunkSize
+			}
+		}
+	}
+	return n
 }
 
 // AllocPage makes the page containing addr accessible (idempotent) and
 // returns its base address. Inside a RAM range it only clears a freed page's
-// hole: the page is backed, zero-filled, on first access, like the rest of
-// DRAM. Outside RAM ranges it is backed now.
+// hole; outside one it records the page. Either way the page reads zero and
+// is backed as it is written or viewed, like the rest of DRAM.
 func (m *Memory) AllocPage(addr Addr) Addr {
 	base := PageAlign(addr)
 	delete(m.holes, base)
 	if _, ok := m.pages[base]; !ok && !m.inRAM(base) {
-		m.pages[base] = new([PageSize]byte)
+		m.pages[base] = frame{}
 	}
 	return base
 }
@@ -132,30 +227,34 @@ func (m *Memory) FreePage(addr Addr) {
 
 // Populated reports whether the page containing addr is accessible.
 func (m *Memory) Populated(addr Addr) bool {
-	base := PageAlign(addr)
-	if _, ok := m.pages[base]; ok {
-		return true
-	}
-	return !m.holes[base] && m.inRAM(base)
+	_, ok := m.lookup(PageAlign(addr))
+	return ok
 }
 
-// PageCount returns the number of pages backed by host memory. An allocated
-// RAM page counts from its first access.
-func (m *Memory) PageCount() int { return len(m.pages) }
+// Backed returns the bytes of host memory backing the populated pages:
+// 4 KiB per whole page and 256 B per chunk. A page costs nothing until it
+// is written or viewed, and a Read never backs anything.
+func (m *Memory) Backed() uint64 {
+	var n uint64
+	for _, f := range m.pages {
+		n += f.backed()
+	}
+	return n
+}
 
 // Read copies len(p) bytes starting at addr into p. It fails with
 // *AccessError if any touched page is unpopulated; in that case p may be
-// partially filled.
+// partially filled. Bytes never written read zero.
 func (m *Memory) Read(addr Addr, p []byte) error {
 	m.reads++
 	m.bytesOut += uint64(len(p))
 	for len(p) > 0 {
-		pg, ok := m.page(addr)
+		f, ok := m.lookup(PageAlign(addr))
 		if !ok {
 			return &AccessError{Addr: addr}
 		}
-		off := PageOffset(addr)
-		n := copy(p, pg[off:])
+		n := min(uint64(len(p)), PageSize-PageOffset(addr))
+		f.read(PageOffset(addr), p[:n])
 		p = p[n:]
 		addr += Addr(n)
 	}
@@ -169,12 +268,11 @@ func (m *Memory) Write(addr Addr, p []byte) error {
 	m.writes++
 	m.bytesIn += uint64(len(p))
 	for len(p) > 0 {
-		pg, ok := m.page(addr)
+		b, ok := m.back(addr, min(uint64(len(p)), PageSize-PageOffset(addr)))
 		if !ok {
 			return &AccessError{Addr: addr, Write: true}
 		}
-		off := PageOffset(addr)
-		n := copy(pg[off:], p)
+		n := copy(b, p)
 		p = p[n:]
 		addr += Addr(n)
 	}
@@ -222,16 +320,19 @@ func (m *Memory) WriteU64(addr Addr, v uint64) error {
 // range lies within a single populated page. It models zero-copy kernel
 // access to DRAM (an skb pointing into a DMA buffer); mutations through the
 // slice are immediately visible to DMA and vice versa.
+//
+// A view that fits in one 256 B chunk of a page not yet promoted is a view
+// of that chunk, and it stays valid only until the page is promoted: until
+// a Write or Slice anywhere in the page spans two chunks. The promotion
+// fills the retired chunk with a poison byte, so a stale view reads
+// garbage. A view into a promoted page, as every view spanning two chunks
+// is, stays valid until FreePage. So a caller keeps a small view only while
+// nothing can write or view across a chunk boundary in its page.
 func (m *Memory) Slice(addr Addr, n int) ([]byte, bool) {
 	if n <= 0 || PageOffset(addr)+uint64(n) > PageSize {
 		return nil, false
 	}
-	pg, ok := m.page(addr)
-	if !ok {
-		return nil, false
-	}
-	off := PageOffset(addr)
-	return pg[off : off+uint64(n) : off+uint64(n)], true
+	return m.back(addr, uint64(n))
 }
 
 // MustRead is Read that panics on fault; for trusted kernel/test paths where

@@ -189,24 +189,29 @@ func TestAllocatedRAMBackedOnFirstTouch(t *testing.T) {
 	if _, ok := a.AllocPages(256); !ok {
 		t.Fatal("alloc failed")
 	}
-	if m.PageCount() != 0 {
-		t.Fatalf("AllocPages(256) backed %d pages", m.PageCount())
+	if m.Backed() != 0 {
+		t.Fatalf("AllocPages(256) backed %d B", m.Backed())
 	}
-	// Each of the three accessors backs one untouched page on first use.
-	touch := []func(p Addr){
-		func(p Addr) { m.MustRead(p, make([]byte, 8)) },
-		func(p Addr) { m.MustWrite(p, []byte{1}) },
-		func(p Addr) { m.Slice(p, 8) },
-	}
-	for i, f := range touch {
+	// A read backs nothing, a write or view inside one chunk backs that
+	// chunk and a write across chunks backs the whole page.
+	for _, tc := range []struct {
+		name  string
+		touch func(p Addr)
+		want  uint64
+	}{
+		{"4 KiB Read", func(p Addr) { m.MustRead(p, make([]byte, PageSize)) }, 0},
+		{"1 B Write", func(p Addr) { m.MustWrite(p, []byte{1}) }, chunkSize},
+		{"8 B Slice", func(p Addr) { m.Slice(p, 8) }, chunkSize},
+		{"4 KiB Write", func(p Addr) { m.MustWrite(p, make([]byte, PageSize)) }, PageSize},
+	} {
 		p, _ := a.AllocPages(1)
 		if !m.Populated(p) {
-			t.Fatalf("accessor %d: allocated page not populated", i)
+			t.Fatalf("%s: allocated page not populated", tc.name)
 		}
-		before := m.PageCount()
-		f(p)
-		if m.PageCount() != before+1 {
-			t.Fatalf("accessor %d: first access backed %d pages", i, m.PageCount()-before)
+		before := m.Backed()
+		tc.touch(p)
+		if got := m.Backed() - before; got != tc.want {
+			t.Fatalf("%s of an untouched page backed %d B, want %d", tc.name, got, tc.want)
 		}
 	}
 	p, _ := a.AllocPages(1)
@@ -214,6 +219,58 @@ func TestAllocatedRAMBackedOnFirstTouch(t *testing.T) {
 	m.MustRead(p, got)
 	if !bytes.Equal(got, make([]byte, PageSize)) {
 		t.Fatal("untouched allocated page does not read zero")
+	}
+}
+
+// TestPromotionPoisonsChunkViews: a write across two chunks promotes the
+// page, after which a view taken into one of its chunks reads poison, while
+// Read and a new view read the data.
+func TestPromotionPoisonsChunkViews(t *testing.T) {
+	m, a := ramAllocator(1)
+	p, _ := a.AllocPages(1)
+	stale, _ := m.Slice(p+8, 8)
+	copy(stale, "chunk 0!")
+	m.MustWrite(p+chunkSize-4, []byte("spanning"))
+	if m.Backed() != PageSize {
+		t.Fatalf("after a spanning write %d B backed, want one page", m.Backed())
+	}
+	if !bytes.Equal(stale, bytes.Repeat([]byte{poison}, 8)) {
+		t.Fatalf("stale chunk view reads %q, want poison", stale)
+	}
+	got := make([]byte, chunkSize-4) // up to the spanning write's end
+	m.MustRead(p+8, got)
+	if string(got[:8]) != "chunk 0!" || string(got[len(got)-8:]) != "spanning" {
+		t.Fatalf("Read after promotion = %q", got)
+	}
+	if view, _ := m.Slice(p+8, 8); string(view) != "chunk 0!" {
+		t.Fatalf("new view after promotion = %q", view)
+	}
+}
+
+// TestWholePageViewStaysCoherent: a view of a whole page sees later writes,
+// however small, and Read and other views see writes through it.
+func TestWholePageViewStaysCoherent(t *testing.T) {
+	m, a := ramAllocator(1)
+	p, _ := a.AllocPages(1)
+	view, ok := m.Slice(p, PageSize)
+	if !ok {
+		t.Fatal("no view of an allocated page")
+	}
+	m.MustWrite(p+100, []byte{1, 2, 3})
+	if !bytes.Equal(view[100:103], []byte{1, 2, 3}) {
+		t.Fatalf("whole-page view reads % x after a 3 B write", view[100:103])
+	}
+	copy(view[3000:], "through the view")
+	got := make([]byte, 16)
+	m.MustRead(p+3000, got)
+	if string(got) != "through the view" {
+		t.Fatalf("Read after a write through the view = %q", got)
+	}
+	small, _ := m.Slice(p+3000, 7)
+	copy(small, "THROUGH")
+	if string(view[3000:3016]) != "THROUGH the view" || m.Backed() != PageSize {
+		t.Fatalf("whole-page view reads %q after a write through a small view, %d B backed",
+			view[3000:3016], m.Backed())
 	}
 }
 
