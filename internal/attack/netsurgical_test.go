@@ -32,7 +32,7 @@ func raiseNICQueueFaults(tb *tenantperf.Testbed, q int) {
 func assertQueueRearmed(t *testing.T, tb *tenantperf.Testbed, q int) {
 	t.Helper()
 	eth := tb.NetSup.Proc().Eth
-	if got := eth.FreeTxSlots(); got != ethproxy.TxSlots {
+	if got := eth.FreeSlots(); got != ethproxy.TxSlots {
 		t.Errorf("free TX slots at quiescence = %d, want %d", got, ethproxy.TxSlots)
 	}
 	if eth.UpcallErrors != 0 {

@@ -11,7 +11,6 @@ import (
 	"sud/internal/kernel"
 	"sud/internal/kernel/netstack"
 	"sud/internal/pci"
-	"sud/internal/proxy/ethproxy"
 	"sud/internal/sim"
 	"sud/internal/sudml"
 	"sud/internal/uchan"
@@ -82,7 +81,7 @@ func RingFlood(cfg Config) (Outcome, error) {
 	payload := make([]byte, 64)
 	for sport := uint16(53000); sport < 53008; sport++ {
 		// Only ports whose flow steering avoids the wedged queue.
-		if ethproxy.TxQueueForPorts(sport, 9, ringFloodQueues) == victim {
+		if netstack.TxQueueForPorts(sport, 9, ringFloodQueues) == victim {
 			continue
 		}
 		_ = k.Net.UDPSendTo(ifc, netstack.MAC{9, 9, 9, 9, 9, 9},

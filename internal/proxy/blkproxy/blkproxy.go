@@ -23,9 +23,7 @@
 package blkproxy
 
 import (
-	"errors"
 	"fmt"
-	"strings"
 
 	"sud/internal/drivers/api"
 	"sud/internal/fifo"
@@ -34,6 +32,7 @@ import (
 	"sud/internal/mem"
 	"sud/internal/proxy/pciaccess"
 	"sud/internal/proxy/protocol"
+	"sud/internal/proxy/qcore"
 	"sud/internal/sim"
 	"sud/internal/trace"
 	"sud/internal/uchan"
@@ -106,18 +105,14 @@ const (
 const SlotsPerQueue = 64
 
 // Proxy is one block proxy driver instance. The shared-slot pools, the
-// stall/wake state and the completion counters are all per queue, and each
-// queue's pool is its own device-file allocation — a distinct IOMMU-visible
-// object, the groundwork for per-queue IOMMU domains.
+// stall/wake state, the epoch fence and the recycle lane are the embedded
+// core's, one per queue; each queue's pool is its own device-file
+// allocation in the queue's own IOMMU sub-domain.
 type Proxy struct {
+	qcore.Core
 	K   *KernelIface
-	DF  *pciaccess.DeviceFile
-	C   *uchan.MultiChan
 	Dev *blockdev.Dev
 
-	pools   []*pciaccess.Alloc // per-queue slot pools
-	free    [][]int            // per-queue free slot lists (queue-local indices)
-	stalled []bool
 	// tagSlot maps an in-flight tag to its (queue, slot) so completion
 	// releases the right pool entry.
 	tagSlot flatmap.Map[uint64, int] // packed q*SlotsPerQueue + slot
@@ -129,26 +124,9 @@ type Proxy struct {
 	// into; each returns when its Dev.Complete does.
 	guardBufs *fifo.Buffers
 
-	// pendingRecycle holds flipped pages (by IOVA) per queue awaiting the
-	// lazy recycle flush back to the driver.
-	pendingRecycle [][]uint64
-
 	// Per-queue completion counters.
 	QueueComps   []uint64
 	QueueBatches []uint64
-
-	// epoch is the device incarnation this proxy bound at; once the block
-	// core bumps it (driver death → recovery) every downcall still signed
-	// by this proxy is stale and is rejected wholesale.
-	epoch uint64
-
-	// qepoch mirrors each queue's own incarnation epoch as of the last
-	// RearmQueue — the queue-granular sibling of epoch. Between a surgical
-	// quarantine (the block core bumps QueueEpoch) and the re-arm (this
-	// mirror resyncs), the mismatch rejects the queue's completions while
-	// siblings flow; after the re-arm, completions stamped with the dead
-	// incarnation's epoch are rejected by the stamp check.
-	qepoch []uint64
 
 	// Barrier accounting (per device epoch): barrierSeq numbers every
 	// flush upcall this incarnation issued, and inFlightFlush is the one
@@ -181,16 +159,6 @@ type Proxy struct {
 	CompStaleQueueEpoch uint64
 	CompRevokedRef      uint64 // references naming a page the kernel already owns
 	SubmitDropsHung     uint64
-	UpcallErrors        uint64
-
-	// Page-flip accounting (the bench metrics).
-	GuardCopiedBytes uint64 // bytes that went through a guard copy
-	PagesFlipped     uint64
-	Shootdowns       uint64 // batch-amortised IOTLB shootdowns
-	RecycleUpcalls   uint64
-	RecycleAcks      uint64
-	RecycleBadAck    uint64 // malformed ack framing from the driver
-	RecycleStaleAck  uint64 // acks carrying a dead incarnation's epoch
 }
 
 // flushState is the one barrier the driver currently holds, if held.
@@ -218,7 +186,9 @@ func New(ki *KernelIface, df *pciaccess.DeviceFile, c *uchan.MultiChan, name str
 	if err != nil {
 		return nil, err
 	}
-	dev, err := registerUnique(ki.Blk, name, geom, (*proxyDev)(p))
+	dev, err := qcore.RegisterUnique(name, blockdev.ErrNameTaken, func(name string) (*blockdev.Dev, error) {
+		return ki.Blk.Register(name, geom, (*proxyDev)(p))
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -245,35 +215,20 @@ func NewStandby(ki *KernelIface, df *pciaccess.DeviceFile, c *uchan.MultiChan, n
 }
 
 // newProxy builds an unbound proxy: one slot pool per queue, every slot
-// free.
+// free. Queue i's slots belong to device I/O queue i+1, so a compromised
+// sibling queue's descriptor naming a slot here faults at the walk.
 func newProxy(ki *KernelIface, df *pciaccess.DeviceFile, c *uchan.MultiChan, geom api.BlockGeometry) (*Proxy, error) {
 	q := c.NumQueues()
 	p := &Proxy{
-		K: ki, DF: df, C: c,
-		pools:          make([]*pciaccess.Alloc, q),
-		free:           make([][]int, q),
-		stalled:        make([]bool, q),
-		QueueComps:     make([]uint64, q),
-		QueueBatches:   make([]uint64, q),
-		pendingRecycle: make([][]uint64, q),
-		qepoch:         make([]uint64, q),
-		guardBufs:      fifo.NewBuffers(geom.BlockSize),
+		K:            ki,
+		QueueComps:   make([]uint64, q),
+		QueueBatches: make([]uint64, q),
+		guardBufs:    fifo.NewBuffers(geom.BlockSize),
 	}
-	for i := 0; i < q; i++ {
-		// Queue i's slots belong to device I/O queue i+1: tagging the
-		// allocation with that stream confines it to the queue's own IOMMU
-		// sub-domain, so a compromised sibling queue's descriptor naming a
-		// slot here faults at the walk. The kernel tags its pools itself —
-		// queue-granular confinement never depends on driver cooperation.
-		pool, err := df.AllocDMAQ(SlotsPerQueue*geom.BlockSize,
-			fmt.Sprintf("blk q%d slot pool", i), false, i+1)
-		if err != nil {
-			return nil, fmt.Errorf("blkproxy: allocating queue %d pool: %w", i, err)
-		}
-		p.pools[i] = pool
-		for s := 0; s < SlotsPerQueue; s++ {
-			p.free[i] = append(p.free[i], s)
-		}
+	cfg := qcore.Config{Class: "blkproxy", PoolLabel: "blk q%d slot pool", Slots: SlotsPerQueue,
+		SlotSize: geom.BlockSize, RecycleOp: OpPageRecycle, QStateOp: OpQueueEpoch}
+	if err := p.Init(cfg, ki.Acct, df, c, func(q int) { p.Dev.WakeQueueQ(q) }); err != nil {
+		return nil, err
 	}
 	return p, nil
 }
@@ -285,10 +240,7 @@ func newProxy(ki *KernelIface, df *pciaccess.DeviceFile, c *uchan.MultiChan, geo
 // stale.
 func (p *Proxy) Bind(dev *blockdev.Dev) {
 	p.Dev = dev
-	p.epoch = dev.Epoch()
-	for i := range p.qepoch {
-		p.qepoch[i] = dev.QueueEpoch(i)
-	}
+	p.Core.Bind(dev)
 	p.K.DevName = dev.Name
 }
 
@@ -297,29 +249,9 @@ func (p *Proxy) Bind(dev *blockdev.Dev) {
 // or for acking one while requests dispatched before it were outstanding.
 func (p *Proxy) BarrierViolations() uint64 { return p.CompBadBarrier + p.CompBarrierEarly }
 
-// registerUnique registers the device under the requested name; on a name
-// collision it substitutes into the name's own template (trailing digits
-// stripped, like "nvme%d") until a free slot is found.
-func registerUnique(blk *blockdev.Manager, name string, geom api.BlockGeometry, dev *proxyDev) (*blockdev.Dev, error) {
-	d, err := blk.Register(name, geom, dev)
-	if err == nil || !errors.Is(err, blockdev.ErrNameTaken) {
-		return d, err
-	}
-	base := strings.TrimRight(name, "0123456789")
-	if base == "" {
-		base = name
-	}
-	for i := 1; i < 16; i++ {
-		d, retryErr := blk.Register(fmt.Sprintf("%s%d", base, i), geom, dev)
-		if retryErr == nil {
-			return d, nil
-		}
-		if !errors.Is(retryErr, blockdev.ErrNameTaken) {
-			return nil, retryErr
-		}
-	}
-	return nil, err
-}
+// StaleEpochDowncalls is the policy plane's zombie-incarnation evidence:
+// downcalls rejected because the device moved on to a newer incarnation.
+func (p *Proxy) StaleEpochDowncalls() uint64 { return p.CompStaleEpoch }
 
 // proxyDev is the block-core-facing half: it satisfies the same BlockDevice
 // contract an in-kernel driver would, by RPC.
@@ -330,28 +262,14 @@ func (d *proxyDev) p() *Proxy { return (*Proxy)(d) }
 // Open forwards the bring-up as a synchronous, interruptible upcall (queue
 // creation sleeps in the driver, like the e1000e's open).
 func (d *proxyDev) Open() error {
-	reply, err := d.p().C.Send(uchan.Msg{Op: OpOpen})
-	if err != nil {
-		d.p().UpcallErrors++
-		return fmt.Errorf("blkproxy: open upcall: %w", err)
-	}
-	if reply.Args[0] != 0 {
-		return fmt.Errorf("blkproxy: driver open failed: %s", reply.Data)
-	}
-	return nil
+	_, err := d.p().Call("open", uchan.Msg{Op: OpOpen})
+	return err
 }
 
 // Stop forwards quiesce.
 func (d *proxyDev) Stop() error {
-	reply, err := d.p().C.Send(uchan.Msg{Op: OpStop})
-	if err != nil {
-		d.p().UpcallErrors++
-		return fmt.Errorf("blkproxy: stop upcall: %w", err)
-	}
-	if reply.Args[0] != 0 {
-		return fmt.Errorf("blkproxy: driver stop failed: %s", reply.Data)
-	}
-	return nil
+	_, err := d.p().Call("stop", uchan.Msg{Op: OpStop})
+	return err
 }
 
 // Queues implements api.BlockDevice: one block-core queue context per uchan
@@ -361,20 +279,18 @@ func (d *proxyDev) Queues() int { return d.p().C.NumQueues() }
 // Submit claims a shared slot on queue q, stages a write payload in it, and
 // queues an asynchronous submission upcall on that queue's ring — the §3.1
 // fast path applied to storage. Slot exhaustion or a hung queue surfaces as
-// backpressure on that queue only, never as a blocked kernel thread.
+// backpressure on that queue only, never as a blocked kernel thread. The
+// upcall names the slot by its index within the queue.
 func (d *proxyDev) Submit(q int, req api.BlockRequest) error {
 	p := d.p()
-	if q < 0 || q >= len(p.free) {
-		q = 0
-	}
+	q = p.Clamp(q)
 	if req.Flush {
 		return p.submitFlush(q, req)
 	}
-	if len(p.free[q]) == 0 {
-		p.stalled[q] = true
+	slot, ok := p.NextSlot(q)
+	if !ok {
 		return fmt.Errorf("blkproxy: no free slots on queue %d", q)
 	}
-	slot := p.free[q][len(p.free[q])-1]
 	var flags, iova, n uint64
 	if req.Write {
 		if len(req.Data) != p.Dev.Geom.BlockSize {
@@ -384,11 +300,11 @@ func (d *proxyDev) Submit(q int, req api.BlockRequest) error {
 		if req.FUA {
 			flags |= SubmitFUA
 		}
-		off := mem.Addr(slot * p.Dev.Geom.BlockSize)
-		iova = uint64(p.pools[q].IOVA + off)
+		slotIOVA, phys := p.SlotAddr(q, slot)
+		iova = uint64(slotIOVA)
 		n = uint64(len(req.Data))
 		p.K.Acct.Charge(sim.Copy(len(req.Data)))
-		if err := p.K.Mem.Write(p.pools[q].Phys+off, req.Data); err != nil {
+		if err := p.K.Mem.Write(phys, req.Data); err != nil {
 			return fmt.Errorf("blkproxy: slot write: %w", err)
 		}
 	}
@@ -398,14 +314,14 @@ func (d *proxyDev) Submit(q int, req api.BlockRequest) error {
 	})
 	if err != nil {
 		p.SubmitDropsHung++
-		p.stalled[q] = true
+		p.Stall(q)
 		return fmt.Errorf("blkproxy: submit upcall: %w", err)
 	}
 	p.K.Blk.Trace.Event(trace.ClassBlk, q, req.Tag, trace.HopUchanEnq)
 	if req.FUA {
 		p.FUAIssued++
 	}
-	p.free[q] = p.free[q][:len(p.free[q])-1]
+	p.Claim(q)
 	p.tagSlot.Put(req.Tag, q*SlotsPerQueue+slot)
 	return nil
 }
@@ -421,10 +337,10 @@ func (p *Proxy) submitFlush(q int, req api.BlockRequest) error {
 	}
 	p.barrierSeq++
 	var frame [FlushOpLen]byte
-	fo := FlushOp{Barrier: p.barrierSeq, Epoch: p.epoch, Tag: req.Tag}
+	fo := FlushOp{Barrier: p.barrierSeq, Epoch: p.BoundEpoch(), Tag: req.Tag}
 	if err := p.C.ASend(q, uchan.Msg{Op: OpFlush, Data: AppendFlushOp(frame[:0], fo)}); err != nil {
 		p.SubmitDropsHung++
-		p.stalled[q] = true
+		p.Stall(q)
 		return fmt.Errorf("blkproxy: flush upcall: %w", err)
 	}
 	p.FlushesIssued++
@@ -437,7 +353,7 @@ func (p *Proxy) submitFlush(q int, req api.BlockRequest) error {
 // arrived on — the queue whose counters it charges and whose slots its
 // completions release.
 func (p *Proxy) HandleDowncall(q int, m uchan.Msg) {
-	if p.Dev.Epoch() != p.epoch {
+	if p.Stale() {
 		// This proxy belongs to a dead driver incarnation: the device was
 		// (or is being) recovered onto a restarted process. A completion,
 		// wake or batch arriving now is the replay-vs-stale-completion
@@ -447,9 +363,7 @@ func (p *Proxy) HandleDowncall(q int, m uchan.Msg) {
 		p.CompStaleEpoch++
 		return
 	}
-	if q < 0 || q >= len(p.free) {
-		q = 0
-	}
+	q = p.Clamp(q)
 	switch m.Op {
 	case OpComplete:
 		// Args[4] is the queue-epoch stamp the driver runtime put on the
@@ -464,9 +378,7 @@ func (p *Proxy) HandleDowncall(q int, m uchan.Msg) {
 			return
 		}
 		if p.complete(q, CompRef{Tag: m.Args[0], Status: uint16(m.Args[1]), IOVA: m.Args[2], Len: uint32(m.Args[3])}) {
-			p.K.Acct.Charge(sim.CostIOTLBShootdown)
-			p.Shootdowns++
-			p.maybeFlushRecycle(q)
+			p.shootdown(q)
 		}
 	case OpCompleteBatch:
 		// Args[0] stamps the whole batch (the framing has no per-entry
@@ -491,33 +403,14 @@ func (p *Proxy) HandleDowncall(q int, m uchan.Msg) {
 			}
 		}
 		if flipped > 0 {
-			// One shootdown covers every page this batch revoked.
-			p.K.Acct.Charge(sim.CostIOTLBShootdown)
-			p.Shootdowns++
-			p.maybeFlushRecycle(q)
+			p.shootdown(q)
 		}
 	case OpRecycleAck:
-		var buf [protocol.MaxRecyclePages]uint64
-		epoch, pages, err := protocol.DecodeRecycle(buf[:], m.Data)
-		if err != nil {
-			p.RecycleBadAck++
-			return
-		}
-		if epoch != uint32(p.epoch) {
-			// A frame minted for a dead incarnation (replayed across a
-			// recovery, or forged): rejected, never matched.
-			p.RecycleStaleAck++
-			return
-		}
-		p.RecycleAcks += uint64(len(pages))
+		p.RecycleAck(m.Data)
 	case OpFlushDone:
 		p.handleFlushDone(q, m)
 	case OpWakeQueue:
-		wq := int(m.Args[0])
-		if wq < 0 || wq >= len(p.free) {
-			wq = 0
-		}
-		p.maybeWakeQueue(wq)
+		p.MaybeWake(p.Clamp(int(m.Args[0])))
 	default:
 		// Unknown downcalls from an untrusted driver are ignored, not
 		// trusted (§3.1.1).
@@ -525,79 +418,55 @@ func (p *Proxy) HandleDowncall(q int, m uchan.Msg) {
 	}
 }
 
+// shootdown makes the pages one message revoked globally visible with one
+// IOTLB shootdown, and flushes the queue's recycle lane once it is due.
+func (p *Proxy) shootdown(q int) {
+	p.K.Acct.Charge(sim.CostIOTLBShootdown)
+	p.Shootdowns++
+	p.MaybeFlush(q)
+}
+
 // queueStale applies the queue-granular epoch discipline to one completion
 // message on ring q. A completion is stale when its queue is quarantined and
-// not yet re-armed (the block core's QueueEpoch moved past this proxy's
-// mirror), or when its stamp names a dead incarnation of the queue (a
-// pre-quarantine completion arriving late, or a forgery). Either way it is
-// dropped and counted — the tag it names is (or will be) live again in the
-// re-armed incarnation, and must only be matched by that incarnation.
+// not yet re-armed, or when its stamp names a dead incarnation of the queue
+// (a pre-quarantine completion arriving late, or a forgery). Either way it
+// is dropped and counted — the tag it names is (or will be) live again in
+// the re-armed incarnation, and must only be matched by that incarnation.
 func (p *Proxy) queueStale(q int, stamp uint64) bool {
-	if p.Dev.QueueEpoch(q) != p.qepoch[q] || stamp != p.qepoch[q] {
+	if p.QueueParked(q) || stamp != p.QueueEpochMirror(q) {
 		p.CompStaleQueueEpoch++
 		return true
 	}
 	return false
 }
 
-// ParkQueue tells the driver runtime queue q is quarantined: an OpQueueEpoch
-// parked frame carrying the epoch the runtime currently holds. Purely
-// advisory — the kernel-side epoch checks enforce the quarantine whether or
-// not the driver listens.
-func (p *Proxy) ParkQueue(q int) {
-	if q < 0 || q >= len(p.qepoch) {
-		return
-	}
-	err := p.C.ASend(q, uchan.Msg{Op: OpQueueEpoch,
-		Data: protocol.EncodeQState(protocol.QState{Queue: q, Epoch: uint32(p.qepoch[q]), Flags: protocol.QStateParked})})
-	if err != nil {
-		p.UpcallErrors++
-	}
-}
-
 // RearmQueue re-syncs this proxy with queue q's new incarnation after a
 // surgical quarantine, before the block core replays the queue. Slots still
 // held by the queue's in-flight tags are reclaimed without completing —
 // replay re-submits those tags and claims fresh slots, so leaving the old
-// entries would leak the pool. Flipped pages parked on the queue's recycle
-// lane are flushed back to the driver (its sub-domain is re-armed by now),
-// the epoch mirror adopts the queue's new epoch, and an OpQueueEpoch armed
-// frame tells the runtime to stamp it — and to drop work held for the dead
+// entries would leak the pool — and the queue's stall clears without a
+// wake. A barrier the dead incarnation held on queue 0 (barriers ride
+// queue 0) is gone with it: replay sends the flush again under a fresh
+// barrier sequence, and a late FlushDone for the old one fails the barrier
+// match. Then the core's re-arm runs, and its armed frame tells the
+// runtime to stamp the new epoch — and to drop work held for the dead
 // incarnation.
 func (p *Proxy) RearmQueue(q int) {
-	if q < 0 || q >= len(p.qepoch) {
+	if q < 0 || q >= p.NumQueues() {
 		return
 	}
 	p.tagSlot.DeleteFunc(func(_ uint64, packed int) bool {
 		if packed/SlotsPerQueue != q {
 			return false
 		}
-		p.free[q] = append(p.free[q], packed%SlotsPerQueue)
+		p.Release(q, packed%SlotsPerQueue)
 		return true
 	})
-	p.stalled[q] = false
-	if q == 0 && p.inFlightFlush.held {
-		// A barrier the dead incarnation held is gone with it; replay
-		// re-issues the flush under a fresh barrier sequence, and a late
-		// FlushDone for the old one fails the barrier match.
+	p.Unstall(q)
+	if q == 0 {
 		p.inFlightFlush = flushState{}
 	}
-	p.flushRecycleQ(q)
-	p.qepoch[q] = p.Dev.QueueEpoch(q)
-	err := p.C.ASend(q, uchan.Msg{Op: OpQueueEpoch,
-		Data: protocol.EncodeQState(protocol.QState{Queue: q, Epoch: uint32(p.qepoch[q]), Flags: protocol.QStateArmed})})
-	if err != nil {
-		p.UpcallErrors++
-	}
-}
-
-// QueueEpochMirror reports the queue epoch this proxy last re-armed at
-// (tests, sudctl).
-func (p *Proxy) QueueEpochMirror(q int) uint64 {
-	if q < 0 || q >= len(p.qepoch) {
-		return 0
-	}
-	return p.qepoch[q]
+	p.Core.RearmQueue(q)
 }
 
 // handleFlushDone validates one barrier completion against the proxy's own
@@ -615,7 +484,7 @@ func (p *Proxy) handleFlushDone(q int, m uchan.Msg) {
 		return
 	}
 	fs := p.inFlightFlush
-	if !fs.held || fo.Barrier != fs.barrier || fo.Epoch != p.epoch || fo.Tag != fs.tag {
+	if !fs.held || fo.Barrier != fs.barrier || fo.Epoch != p.BoundEpoch() || fo.Tag != fs.tag {
 		p.CompBadBarrier++
 		return
 	}
@@ -692,7 +561,7 @@ func (p *Proxy) complete(q int, c CompRef) bool {
 			p.K.Blk.Trace.Event(trace.ClassBlk, q, c.Tag, trace.HopFlip)
 			p.K.Acct.Charge(sim.CostPageFlipRevoke)
 			p.PagesFlipped++
-			p.pendingRecycle[q] = append(p.pendingRecycle[q], c.IOVA)
+			p.Lend(q, c.IOVA)
 			view, ok := p.K.Mem.Slice(phys, n)
 			if ok {
 				// The driver's window onto the page is gone, so the
@@ -731,58 +600,6 @@ func (p *Proxy) complete(q int, c CompRef) bool {
 	return false
 }
 
-// recycleThreshold is how many flipped pages accumulate on a queue before
-// the proxy remaps them and sends one recycle upcall — small against the
-// driver's per-queue pool (QDepth slots = 64 pages) so reads never starve.
-const recycleThreshold = 16
-
-func (p *Proxy) maybeFlushRecycle(q int) {
-	if len(p.pendingRecycle[q]) >= recycleThreshold {
-		p.flushRecycleQ(q)
-	}
-}
-
-// flushRecycleQ remaps queue q's pending flipped pages back into the
-// driver's domain and returns them in one recycle upcall.
-func (p *Proxy) flushRecycleQ(q int) {
-	pending := p.pendingRecycle[q]
-	if len(pending) == 0 {
-		return
-	}
-	p.pendingRecycle[q] = p.pendingRecycle[q][:0]
-	for start := 0; start < len(pending); start += protocol.MaxRecyclePages {
-		end := start + protocol.MaxRecyclePages
-		if end > len(pending) {
-			end = len(pending)
-		}
-		var buf [protocol.MaxRecyclePages]uint64
-		returned := buf[:0]
-		for _, page := range pending[start:end] {
-			// RecyclePage fails only if the page is no longer flipped —
-			// the driver died and teardown reclaimed it.
-			if err := p.DF.RecyclePage(mem.Addr(page)); err == nil {
-				p.K.Acct.Charge(sim.CostPageRecycleMap)
-				returned = append(returned, page)
-			}
-		}
-		if len(returned) == 0 {
-			continue
-		}
-		var frame [protocol.MaxRecycleLen]byte
-		err := p.C.ASend(q, uchan.Msg{
-			Op:   OpPageRecycle,
-			Data: protocol.AppendRecycle(frame[:0], uint32(p.epoch), returned),
-		})
-		if err != nil {
-			// The pages are back in the driver's domain either way; a
-			// hung ring just means the driver never reuses them.
-			p.UpcallErrors++
-			continue
-		}
-		p.RecycleUpcalls++
-	}
-}
-
 // failRead completes a request as an I/O error after a rejected reference;
 // the slot is still released so a malicious driver cannot leak pool space.
 // A tag not in flight (completed twice) is dropped and counted instead.
@@ -818,34 +635,8 @@ func (p *Proxy) releaseSlot(tag uint64) bool {
 	if !ok {
 		return false
 	}
-	sq, slot := packed/SlotsPerQueue, packed%SlotsPerQueue
-	p.free[sq] = append(p.free[sq], slot)
-	p.maybeWakeQueue(sq)
+	sq := packed / SlotsPerQueue
+	p.Release(sq, packed%SlotsPerQueue)
+	p.MaybeWake(sq)
 	return true
 }
-
-// wakeThreshold is how many of a queue's slots must be free before a
-// stopped queue is woken — waking per released slot would thrash the
-// submitter (one eighth of the partition, like the netdev wake batch).
-func (p *Proxy) wakeThreshold() int {
-	t := SlotsPerQueue / 8
-	if t < 1 {
-		t = 1
-	}
-	return t
-}
-
-// maybeWakeQueue restarts queue q's submission path once it regains
-// headroom. The wake is per queue: a sibling still out of slots stays
-// stopped, and only requests steered onto it keep waiting.
-func (p *Proxy) maybeWakeQueue(q int) {
-	if !p.stalled[q] || len(p.free[q]) < p.wakeThreshold() {
-		return
-	}
-	p.stalled[q] = false
-	p.Dev.WakeQueueQ(q)
-}
-
-// Pools returns the per-queue slot-pool allocations (sudctl's IOMMU-domain
-// listing shows them per queue).
-func (p *Proxy) Pools() []*pciaccess.Alloc { return p.pools }

@@ -64,8 +64,8 @@ func newRigQ(t *testing.T, queues int) *rig {
 // would DMA a block there, and returns the slot's IOVA.
 func (r *rig) stage(s int, fill byte) mem.Addr {
 	off := mem.Addr(s * nvme.BlockSize)
-	r.m.Mem.MustWrite(r.p.pools[0].Phys+off, bytes.Repeat([]byte{fill}, nvme.BlockSize))
-	return r.p.pools[0].IOVA + off
+	r.m.Mem.MustWrite(r.p.Pools()[0].Phys+off, bytes.Repeat([]byte{fill}, nvme.BlockSize))
+	return r.p.Pools()[0].IOVA + off
 }
 
 // complete sends the driver's completion of tag, referencing iova.
@@ -164,7 +164,7 @@ func TestQ4CompletionBatchAllocatesNothing(t *testing.T) {
 	for q := 0; q < queues; q++ {
 		for s := 0; s < SlotsPerQueue; s++ {
 			off := mem.Addr(s * nvme.BlockSize)
-			r.m.Mem.MustWrite(r.p.pools[q].Phys+off, bytes.Repeat([]byte{0x5A}, nvme.BlockSize))
+			r.m.Mem.MustWrite(r.p.Pools()[q].Phys+off, bytes.Repeat([]byte{0x5A}, nvme.BlockSize))
 		}
 	}
 	var comps [perBatch]CompRef
@@ -177,7 +177,7 @@ func TestQ4CompletionBatchAllocatesNothing(t *testing.T) {
 		for i := range comps {
 			sub := r.submitted[q][next[q]]
 			next[q]++
-			comps[i] = CompRef{Tag: sub[0], IOVA: uint64(r.p.pools[q].IOVA) + sub[1]*nvme.BlockSize, Len: nvme.BlockSize}
+			comps[i] = CompRef{Tag: sub[0], IOVA: uint64(r.p.Pools()[q].IOVA) + sub[1]*nvme.BlockSize, Len: nvme.BlockSize}
 		}
 		batch := AppendBlkBatch(frame[:0], comps[:])
 		if err := r.mc.DownQ(q, uchan.Msg{Op: OpCompleteBatch, Data: batch, Args: [6]uint64{r.p.QueueEpochMirror(q)}}); err != nil {

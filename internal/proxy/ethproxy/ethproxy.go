@@ -16,9 +16,7 @@
 package ethproxy
 
 import (
-	"errors"
 	"fmt"
-	"strings"
 
 	"sud/internal/drivers/api"
 	"sud/internal/fifo"
@@ -26,6 +24,7 @@ import (
 	"sud/internal/mem"
 	"sud/internal/proxy/pciaccess"
 	"sud/internal/proxy/protocol"
+	"sud/internal/proxy/qcore"
 	"sud/internal/sim"
 	"sud/internal/trace"
 	"sud/internal/uchan"
@@ -113,17 +112,12 @@ const RxSlotSize = 2048
 // context. Receive: each ring delivers into its own per-queue partition
 // (validation and counters per ring), and frames arrive batched up to
 // MaxRxBatch references per downcall so a queue pays a fraction of a
-// doorbell per frame instead of a wakeup each.
+// doorbell per frame instead of a wakeup each. The per-queue slot pools,
+// epoch fence and recycle lane are the embedded core's.
 type Proxy struct {
+	qcore.Core
 	K   *KernelIface
-	DF  *pciaccess.DeviceFile
-	C   *uchan.MultiChan
 	Ifc *netstack.Iface
-
-	pools    []*pciaccess.Alloc // per-queue TX slot pools (stream-tagged)
-	perQueue int                // TX slots per queue (pool partition size)
-	free     [][]int            // per-queue free slot lists (global slot indices)
-	stalled  []bool             // per-queue: out of slots or ring space
 
 	// GuardMode selects the §3.1.2 TOCTOU-guard strategy (ablations).
 	GuardMode int
@@ -136,22 +130,6 @@ type Proxy struct {
 	RxQueueFrames  []uint64
 	RxQueueBatches []uint64
 
-	// epoch is the interface incarnation this proxy bound at; once the
-	// netstack bumps it (driver death → recovery) every downcall still
-	// signed by this proxy is stale and is rejected wholesale.
-	epoch uint64
-
-	// qepoch mirrors each queue's own incarnation epoch as of the last
-	// RearmQueue — the queue-granular sibling of epoch. Between a
-	// surgical quarantine and the re-arm, the mismatch rejects the
-	// queue's RX deliveries at the proxy while siblings flow.
-	qepoch []uint64
-
-	// pendingRecycle holds consumed buffer pages (by IOVA) per queue
-	// awaiting the lazy recycle flush back to the driver, each once: a page
-	// whose slots straddle two batches is returned exactly once.
-	pendingRecycle [][]uint64
-
 	// Security / robustness counters.
 	RxInvalidRef uint64 // shared-buffer references outside the driver's memory
 	RxBadLength  uint64
@@ -162,17 +140,7 @@ type Proxy struct {
 	RxStaleQueueEpoch uint64
 	RxRevokedRef      uint64 // references naming a page the kernel already owns
 	TxDropsHung       uint64
-	UpcallErrors      uint64
 	MirrorUpdates     uint64 // shared-state synchronisation messages (§3.3)
-
-	// Page-flip accounting (the bench metrics).
-	GuardCopiedBytes uint64 // bytes that went through a guard copy
-	PagesFlipped     uint64
-	Shootdowns       uint64 // batch-amortised IOTLB shootdowns
-	RecycleUpcalls   uint64
-	RecycleAcks      uint64
-	RecycleBadAck    uint64 // malformed ack framing from the driver
-	RecycleStaleAck  uint64 // acks carrying a dead incarnation's epoch
 }
 
 // KernelIface is the slice of kernel services the proxy needs (breaking a
@@ -189,37 +157,32 @@ type KernelIface struct {
 // state such as dev_addr is synchronised, not fetched by upcall). If the
 // requested interface name is taken, the next free ethN is allocated, as
 // the kernel's netdev core does — so several NIC driver processes coexist.
+// The TX pool is partitioned per queue, each partition in its queue's own
+// IOMMU sub-domain (the NIC TX engine for queue i stamps stream i+1); the
+// partitions are allocated back to back, so the IOVA layout is identical
+// to a single shared pool.
 func New(ki *KernelIface, df *pciaccess.DeviceFile, c *uchan.MultiChan, name string, mac [6]byte) (*Proxy, error) {
 	q := c.NumQueues()
-	pools, err := allocTxPools(df, q)
-	if err != nil {
-		return nil, fmt.Errorf("ethproxy: allocating TX pool: %w", err)
-	}
 	p := &Proxy{
-		K: ki, DF: df, C: c, pools: pools,
-		perQueue:       TxSlots / q,
-		free:           make([][]int, q),
-		stalled:        make([]bool, q),
+		K:              ki,
 		RxQueueFrames:  make([]uint64, q),
 		RxQueueBatches: make([]uint64, q),
-		pendingRecycle: make([][]uint64, q),
 		guardBufs:      fifo.NewBuffers(maxFrame),
 	}
-	for i := 0; i < p.perQueue*q; i++ {
-		qi := i / p.perQueue
-		p.free[qi] = append(p.free[qi], i)
+	cfg := qcore.Config{Class: "ethproxy", PoolLabel: "TX q%d slot pool", Slots: TxSlots / q,
+		SlotSize: TxSlotSize, RecycleOp: OpPageRecycle, QStateOp: OpQueueEpoch}
+	if err := p.Init(cfg, ki.Acct, df, c, func(q int) { p.Ifc.WakeQueue(q) }); err != nil {
+		return nil, err
 	}
-	ifc, err := registerUnique(ki.Net, name, mac, (*proxyDev)(p))
+	ifc, err := qcore.RegisterUnique(name, netstack.ErrNameTaken, func(name string) (*netstack.Iface, error) {
+		return ki.Net.Register(name, mac, (*proxyDev)(p))
+	})
 	if err != nil {
 		return nil, err
 	}
 	ki.IfaceNm = ifc.Name
 	p.Ifc = ifc
-	p.epoch = ifc.Epoch()
-	p.qepoch = make([]uint64, q)
-	for i := range p.qepoch {
-		p.qepoch[i] = ifc.QueueEpoch(i)
-	}
+	p.Bind(ifc)
 	return p, nil
 }
 
@@ -227,51 +190,6 @@ func New(ki *KernelIface, df *pciaccess.DeviceFile, c *uchan.MultiChan, name str
 // downcalls this proxy rejected because the interface moved on to a newer
 // driver incarnation.
 func (p *Proxy) StaleEpochDowncalls() uint64 { return p.RxStaleEpoch }
-
-// allocTxPools builds the per-queue TX slot pools: one device-file
-// allocation per queue, tagged with the queue's stream (the NIC TX engine
-// for queue i stamps i+1), so each queue's slots live in that queue's own
-// IOMMU sub-domain. The kernel tags its pools itself — a sibling queue's
-// descriptor naming a slot here faults at the walk whether or not the
-// driver cooperates. The partitions are allocated back to back, so the
-// IOVA layout is identical to the former single shared pool.
-func allocTxPools(df *pciaccess.DeviceFile, q int) ([]*pciaccess.Alloc, error) {
-	per := TxSlots / q
-	pools := make([]*pciaccess.Alloc, q)
-	for i := range pools {
-		pool, err := df.AllocDMAQ(per*TxSlotSize, fmt.Sprintf("TX q%d slot pool", i), false, i+1)
-		if err != nil {
-			return nil, err
-		}
-		pools[i] = pool
-	}
-	return pools, nil
-}
-
-// registerUnique registers the netdev under the requested name; on a name
-// collision it substitutes into the name's own template (trailing digits
-// stripped, like the kernel's "eth%d") until a free slot is found. Any
-// other registration failure propagates unchanged.
-func registerUnique(net *netstack.Stack, name string, mac [6]byte, dev *proxyDev) (*netstack.Iface, error) {
-	ifc, err := net.Register(name, mac, dev)
-	if err == nil || !errors.Is(err, netstack.ErrNameTaken) {
-		return ifc, err
-	}
-	base := strings.TrimRight(name, "0123456789")
-	if base == "" {
-		base = name
-	}
-	for i := 1; i < 16; i++ {
-		ifc, retryErr := net.Register(fmt.Sprintf("%s%d", base, i), mac, dev)
-		if retryErr == nil {
-			return ifc, nil
-		}
-		if !errors.Is(retryErr, netstack.ErrNameTaken) {
-			return nil, retryErr
-		}
-	}
-	return nil, err
-}
 
 // proxyDev is the netstack-facing half: it satisfies the same NetDevice
 // contract an in-kernel driver would, by RPC.
@@ -281,28 +199,20 @@ func (d *proxyDev) p() *Proxy { return (*Proxy)(d) }
 
 // Open forwards ndo_open as a synchronous, interruptible upcall.
 func (d *proxyDev) Open() error {
-	reply, err := d.p().C.Send(uchan.Msg{Op: OpOpen})
-	if err != nil {
-		d.p().UpcallErrors++
-		return fmt.Errorf("ethproxy: open upcall: %w", err)
-	}
-	if reply.Args[0] != 0 {
-		return fmt.Errorf("ethproxy: driver open failed: %s", reply.Data)
-	}
-	return nil
+	_, err := d.p().Call("open", uchan.Msg{Op: OpOpen})
+	return err
 }
 
 // Stop forwards ndo_stop.
 func (d *proxyDev) Stop() error {
-	reply, err := d.p().C.Send(uchan.Msg{Op: OpStop})
-	if err != nil {
-		d.p().UpcallErrors++
-		return fmt.Errorf("ethproxy: stop upcall: %w", err)
-	}
-	if reply.Args[0] != 0 {
-		return fmt.Errorf("ethproxy: driver stop failed: %s", reply.Data)
-	}
-	return nil
+	_, err := d.p().Call("stop", uchan.Msg{Op: OpStop})
+	return err
+}
+
+// DoIoctl forwards a device-private ioctl synchronously (the paper's
+// SIOCGMIIREG example).
+func (d *proxyDev) DoIoctl(cmd uint32, arg []byte) ([]byte, error) {
+	return d.p().Call("ioctl", uchan.Msg{Op: OpIoctl, Args: [6]uint64{uint64(cmd)}, Data: arg})
 }
 
 // TxQueues implements api.MultiQueueNetDevice: one netstack queue context
@@ -318,23 +228,20 @@ func (d *proxyDev) StartXmit(frame []byte) error {
 // StartXmitQ copies the frame into a shared slot of the given TX queue and
 // queues an asynchronous transmit upcall on that queue's ring — the §3.1
 // fast path. Pool exhaustion or a hung queue surfaces as backpressure on
-// that queue only, never as a blocked kernel thread.
+// that queue only, never as a blocked kernel thread. The upcall names the
+// slot by its index across all partitions.
 func (d *proxyDev) StartXmitQ(frame []byte, q int) error {
 	p := d.p()
 	if len(frame) > TxSlotSize {
 		return fmt.Errorf("ethproxy: frame of %d bytes exceeds slot size", len(frame))
 	}
-	if q < 0 || q >= len(p.free) {
-		q = 0
-	}
-	if len(p.free[q]) == 0 {
-		p.stalled[q] = true
+	q = p.Clamp(q)
+	local, ok := p.NextSlot(q)
+	if !ok {
 		return api.ErrTxBusy
 	}
-	slot := p.free[q][len(p.free[q])-1]
-	local := slot % p.perQueue
-	iova := p.pools[q].IOVA + mem.Addr(local*TxSlotSize)
-	phys := p.pools[q].Phys + mem.Addr(local*TxSlotSize)
+	slot := q*p.SlotsPerQueue() + local
+	iova, phys := p.SlotAddr(q, local)
 	p.K.Acct.Charge(sim.Copy(len(frame)))
 	if err := p.K.Mem.Write(phys, frame); err != nil {
 		return fmt.Errorf("ethproxy: shared pool write: %w", err)
@@ -345,36 +252,13 @@ func (d *proxyDev) StartXmitQ(frame []byte, q int) error {
 	})
 	if err != nil {
 		p.TxDropsHung++
-		p.stalled[q] = true
+		p.Stall(q)
 		return fmt.Errorf("ethproxy: xmit upcall: %w", err)
 	}
-	p.free[q] = p.free[q][:len(p.free[q])-1]
+	p.Claim(q)
 	p.K.Net.Trace.Mark(trace.ClassNetTx, q, uint64(slot))
 	p.K.Net.Trace.Event(trace.ClassNetTx, q, uint64(slot), trace.HopUchanEnq)
 	return nil
-}
-
-// TxQueueForPorts is the flow-steering hash: the TX queue a flow with the
-// given transport ports lands on among nq queues. Kept as an alias of the
-// netstack steering function so tests and attack scenarios can target (or
-// avoid) a specific queue without duplicating the hash.
-func TxQueueForPorts(sport, dport uint16, nq int) int {
-	return netstack.TxQueueForPorts(sport, dport, nq)
-}
-
-// DoIoctl forwards a device-private ioctl synchronously (the paper's
-// SIOCGMIIREG example).
-func (d *proxyDev) DoIoctl(cmd uint32, arg []byte) ([]byte, error) {
-	p := d.p()
-	reply, err := p.C.Send(uchan.Msg{Op: OpIoctl, Args: [6]uint64{uint64(cmd)}, Data: arg})
-	if err != nil {
-		p.UpcallErrors++
-		return nil, fmt.Errorf("ethproxy: ioctl upcall: %w", err)
-	}
-	if reply.Args[0] != 0 {
-		return nil, fmt.Errorf("ethproxy: driver ioctl failed: %s", reply.Data)
-	}
-	return reply.Data, nil
 }
 
 // HandleDowncall services one driver→kernel message in kernel context; the
@@ -382,7 +266,7 @@ func (d *proxyDev) DoIoctl(cmd uint32, arg []byte) ([]byte, error) {
 // arrived on — the RX partition it delivers into and the TX queue its
 // completions credit.
 func (p *Proxy) HandleDowncall(q int, m uchan.Msg) {
-	if p.Ifc.Epoch() != p.epoch {
+	if p.Stale() {
 		// This proxy belongs to a dead driver incarnation: the interface
 		// was (or is being) recovered onto a restarted process. Frames,
 		// TX credits and wakes from the old incarnation are dropped and
@@ -391,17 +275,24 @@ func (p *Proxy) HandleDowncall(q int, m uchan.Msg) {
 		p.RxStaleEpoch++
 		return
 	}
-	if q < 0 || q >= len(p.free) {
-		q = 0
+	q = p.Clamp(q)
+	if (m.Op == OpNetifRx || m.Op == OpNetifRxBatch) && p.QueueParked(q) {
+		// The queue is quarantined and not yet re-armed: its buffers sit
+		// in a revoked sub-domain, so what it delivers is dropped and
+		// counted. Net RX carries no queue-epoch stamp, so being parked is
+		// the whole test.
+		p.RxStaleQueueEpoch++
+		return
 	}
 	switch m.Op {
 	case OpNetifRx:
-		if p.queueStale(q) {
-			return
-		}
 		if m.Data != nil {
 			// Inline (bounced) frame: the bytes were copied through
-			// the ring, so only checksum verification remains.
+			// the ring, so only the length bound and checksum
+			// verification remain.
+			if !p.lengthOK(len(m.Data)) {
+				return
+			}
 			p.K.Acct.Charge(sim.Checksum(len(m.Data)))
 			p.RxQueueFrames[q]++
 			p.Ifc.NetifRxVerified(m.Data, q)
@@ -419,9 +310,6 @@ func (p *Proxy) HandleDowncall(q int, m uchan.Msg) {
 		}
 		p.netifRx(q, mem.Addr(m.Args[0]), int(m.Args[1]))
 	case OpNetifRxBatch:
-		if p.queueStale(q) {
-			return
-		}
 		var buf [MaxRxBatch]RxRef
 		refs, err := DecodeRxBatch(buf[:], m.Data)
 		if err != nil {
@@ -439,41 +327,27 @@ func (p *Proxy) HandleDowncall(q int, m uchan.Msg) {
 			p.netifRx(q, mem.Addr(r.IOVA), int(r.Len))
 		}
 	case OpRecycleAck:
-		var buf [protocol.MaxRecyclePages]uint64
-		epoch, pages, err := protocol.DecodeRecycle(buf[:], m.Data)
-		if err != nil {
-			p.RecycleBadAck++
-			return
-		}
-		if epoch != uint32(p.epoch) {
-			// A frame minted for a dead incarnation (replayed across a
-			// recovery, or forged): the pages it names belong to the new
-			// incarnation's pool now.
-			p.RecycleStaleAck++
-			return
-		}
-		p.RecycleAcks += uint64(len(pages))
+		p.RecycleAck(m.Data)
 	case OpXmitDone:
-		slot := int(m.Args[0])
-		if slot >= 0 && slot < p.perQueue*len(p.free) {
-			sq := slot / p.perQueue
-			for _, f := range p.free[sq] {
-				if f == slot {
-					// A credit for a slot already free: a confused or
-					// malicious driver. Crediting it again would hand
-					// one slot to two frames.
-					p.UpcallErrors++
-					return
-				}
-			}
-			if d, ok := p.K.Net.Trace.TakeLat(trace.ClassNetTx, sq, uint64(slot)); ok {
-				p.Ifc.Queue(sq).TxLat.Record(d)
-			}
-			p.K.Net.Trace.Event(trace.ClassNetTx, sq, uint64(slot), trace.HopComplete)
-			p.Ifc.TxConfirm(sq)
-			p.free[sq] = append(p.free[sq], slot)
-			p.maybeWakeQueue(sq)
+		// An out-of-range slot is ignored; a credit for a slot already
+		// free is a confused or malicious driver, and crediting it again
+		// would hand one slot to two frames.
+		slot, per := int(m.Args[0]), p.SlotsPerQueue()
+		if slot < 0 || slot >= per*p.NumQueues() {
+			return
 		}
+		sq, local := slot/per, slot%per
+		if !p.Claimed(sq, local) {
+			p.UpcallErrors++
+			return
+		}
+		if d, ok := p.K.Net.Trace.TakeLat(trace.ClassNetTx, sq, uint64(slot)); ok {
+			p.Ifc.Queue(sq).TxLat.Record(d)
+		}
+		p.K.Net.Trace.Event(trace.ClassNetTx, sq, uint64(slot), trace.HopComplete)
+		p.Ifc.TxConfirm(sq)
+		p.Release(sq, local)
+		p.MaybeWake(sq)
 	case OpCarrierOn:
 		p.MirrorUpdates++
 		p.Ifc.CarrierOn()
@@ -481,11 +355,7 @@ func (p *Proxy) HandleDowncall(q int, m uchan.Msg) {
 		p.MirrorUpdates++
 		p.Ifc.CarrierOff()
 	case OpWakeQueue:
-		wq := int(m.Args[0])
-		if wq < 0 || wq >= len(p.free) {
-			wq = 0
-		}
-		p.maybeWakeQueue(wq)
+		p.MaybeWake(p.Clamp(int(m.Args[0])))
 	default:
 		// Unknown downcalls from an untrusted driver are ignored, not
 		// trusted (§3.1.1).
@@ -493,88 +363,18 @@ func (p *Proxy) HandleDowncall(q int, m uchan.Msg) {
 	}
 }
 
-// queueStale applies the queue-granular epoch discipline to RX deliveries
-// on ring q: while the netstack's QueueEpoch is ahead of this proxy's mirror
-// the queue is quarantined and not yet re-armed, so everything it delivers
-// is dropped and counted — its buffers sit in a revoked sub-domain and its
-// sibling queues must not be touched by the cleanup.
-func (p *Proxy) queueStale(q int) bool {
-	if p.Ifc.QueueEpoch(q) != p.qepoch[q] {
-		p.RxStaleQueueEpoch++
-		return true
-	}
-	return false
-}
-
-// ParkQueue tells the driver runtime queue q is quarantined: an OpQueueEpoch
-// parked frame carrying the epoch the runtime currently holds. Advisory —
-// the kernel-side checks enforce the quarantine regardless.
-func (p *Proxy) ParkQueue(q int) {
-	if q < 0 || q >= len(p.qepoch) {
-		return
-	}
-	err := p.C.ASend(q, uchan.Msg{Op: OpQueueEpoch,
-		Data: protocol.EncodeQState(protocol.QState{Queue: q, Epoch: uint32(p.qepoch[q]), Flags: protocol.QStateParked})})
-	if err != nil {
-		p.UpcallErrors++
-	}
-}
-
-// RearmQueue re-syncs this proxy with queue q's new incarnation after a
-// surgical quarantine: flipped pages parked on the queue's recycle lane are
-// flushed back to the driver (its sub-domain is re-armed by now), the epoch
-// mirror adopts the queue's new epoch, and an OpQueueEpoch armed frame
-// re-syncs the runtime. TX slots are left alone: the driver process
-// survived, and the transmits queued ahead of the park frame are still its
-// own to send and credit. The revoke and the re-arm run in one loop event,
-// so no device DMA ran in between.
-func (p *Proxy) RearmQueue(q int) {
-	if q < 0 || q >= len(p.qepoch) {
-		return
-	}
-	p.flushRecycleQ(q)
-	p.qepoch[q] = p.Ifc.QueueEpoch(q)
-	err := p.C.ASend(q, uchan.Msg{Op: OpQueueEpoch,
-		Data: protocol.EncodeQState(protocol.QState{Queue: q, Epoch: uint32(p.qepoch[q]), Flags: protocol.QStateArmed})})
-	if err != nil {
-		p.UpcallErrors++
-	}
-}
-
-// QueueEpochMirror reports the queue epoch this proxy last re-armed at
-// (tests, sudctl).
-func (p *Proxy) QueueEpochMirror(q int) uint64 {
-	if q < 0 || q >= len(p.qepoch) {
-		return 0
-	}
-	return p.qepoch[q]
-}
-
-// wakeThreshold is how many of a queue's slots must be free before a
-// stopped queue is woken — waking per released slot would thrash the sender
-// (real netdev drivers use the same batching). One eighth of the queue's
-// partition: 32 slots on a single-queue proxy, matching the classic value.
-func (p *Proxy) wakeThreshold() int {
-	t := p.perQueue / 8
-	if t < 1 {
-		t = 1
-	}
-	return t
-}
-
-// maybeWakeQueue restarts queue q's transmit path once it regains headroom.
-// The wake is per queue: a sibling still out of slots stays stopped, and
-// only flows hashed onto it keep waiting.
-func (p *Proxy) maybeWakeQueue(q int) {
-	if !p.stalled[q] || len(p.free[q]) < p.wakeThreshold() {
-		return
-	}
-	p.stalled[q] = false
-	p.Ifc.WakeQueue(q)
-}
-
 // maxFrame is the longest frame the proxy accepts from the driver.
 const maxFrame = netstack.EthHeaderLen + 1500 + 4
+
+// lengthOK bounds a received frame's length, by reference or inline, to
+// (0, maxFrame], counting one outside it.
+func (p *Proxy) lengthOK(n int) bool {
+	if n <= 0 || n > maxFrame {
+		p.RxBadLength++
+		return false
+	}
+	return true
+}
 
 // netifRx validates the driver's shared-buffer reference and performs the
 // fused guard-copy + checksum (§3.1.2): the kernel's private copy is taken
@@ -583,8 +383,7 @@ const maxFrame = netstack.EthHeaderLen + 1500 + 4
 // copy lands in a recycled kernel buffer that the proxy takes back once
 // NetifRxVerified returns.
 func (p *Proxy) netifRx(q int, iova mem.Addr, n int) {
-	if n <= 0 || n > maxFrame {
-		p.RxBadLength++
+	if !p.lengthOK(n) {
 		return
 	}
 	if !p.DF.ValidateRange(iova, n) {
@@ -650,14 +449,4 @@ func (p *Proxy) rxDelivered(q int, iova uint64) {
 		p.Ifc.Queue(q).RxLat.Record(d)
 	}
 	tr.Event(trace.ClassNetRx, q, iova, trace.HopDeliver)
-}
-
-// FreeTxSlots reports the pool headroom across all queues (tests and pacing
-// logic).
-func (p *Proxy) FreeTxSlots() int {
-	n := 0
-	for _, f := range p.free {
-		n += len(f)
-	}
-	return n
 }

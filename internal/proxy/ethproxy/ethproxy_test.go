@@ -62,8 +62,8 @@ func TestRegistrationCreatesIfaceAndPool(t *testing.T) {
 	if r.p.Ifc.MAC != netstack.MAC(mac) {
 		t.Fatal("MAC not mirrored")
 	}
-	if r.p.FreeTxSlots() != TxSlots {
-		t.Fatalf("pool = %d", r.p.FreeTxSlots())
+	if r.p.FreeSlots() != TxSlots {
+		t.Fatalf("pool = %d", r.p.FreeSlots())
 	}
 	if len(r.df.Allocs()) != 1 || r.df.Allocs()[0].Label != "TX q0 slot pool" {
 		t.Fatal("pool not allocated through the device file")
@@ -140,13 +140,13 @@ func TestXmitUsesSharedSlotsWithBackpressure(t *testing.T) {
 	// Return enough slots: queue wakes only past the threshold.
 	var woken bool
 	r.p.Ifc.OnWake = func() { woken = true }
-	for i := 0; i < r.p.wakeThreshold()-1; i++ {
+	for i := 0; i < r.p.WakeThreshold()-1; i++ {
 		r.p.HandleDowncall(0, uchan.Msg{Op: OpXmitDone, Args: [6]uint64{uint64(i)}})
 	}
 	if woken {
 		t.Fatal("woke below threshold")
 	}
-	r.p.HandleDowncall(0, uchan.Msg{Op: OpXmitDone, Args: [6]uint64{uint64(r.p.wakeThreshold())}})
+	r.p.HandleDowncall(0, uchan.Msg{Op: OpXmitDone, Args: [6]uint64{uint64(r.p.WakeThreshold())}})
 	if !woken {
 		t.Fatal("no wake at threshold")
 	}
@@ -154,9 +154,9 @@ func TestXmitUsesSharedSlotsWithBackpressure(t *testing.T) {
 	if err := dev.StartXmit(make([]byte, TxSlotSize+1)); err == nil {
 		t.Fatal("oversized frame accepted")
 	}
-	before := r.p.FreeTxSlots()
+	before := r.p.FreeSlots()
 	r.p.HandleDowncall(0, uchan.Msg{Op: OpXmitDone, Args: [6]uint64{99999}})
-	if r.p.FreeTxSlots() != before {
+	if r.p.FreeSlots() != before {
 		t.Fatal("bogus slot index freed something")
 	}
 }
@@ -243,7 +243,7 @@ func TestPerQueueSlotWake(t *testing.T) {
 	r := newRigQ(t, 4)
 	dev := (*proxyDev)(r.p)
 	frame := bytes.Repeat([]byte{0x3C}, 100)
-	for i := 0; i < r.p.perQueue; i++ {
+	for i := 0; i < r.p.SlotsPerQueue(); i++ {
 		if err := dev.StartXmitQ(frame, 0); err != nil {
 			t.Fatalf("xmit %d: %v", i, err)
 		}
@@ -260,7 +260,7 @@ func TestPerQueueSlotWake(t *testing.T) {
 	r.p.Ifc.Queue(1).OnWake = func() { wake1++ }
 	// Return queue 0's slots; the wake fires at the per-queue threshold
 	// and touches only queue 0.
-	for i := 0; i < r.p.wakeThreshold(); i++ {
+	for i := 0; i < r.p.WakeThreshold(); i++ {
 		r.p.HandleDowncall(0, uchan.Msg{Op: OpXmitDone, Args: [6]uint64{uint64(i)}})
 	}
 	if wake0 != 1 || wake1 != 0 {
@@ -387,5 +387,70 @@ func TestHungDriverXmitBackpressure(t *testing.T) {
 	}
 	if !failed {
 		t.Fatal("hung driver never backpressured xmit")
+	}
+}
+
+// TestInlineRxBoundedLikeReferences: a bounced (inline) frame gets the
+// reference path's length bound. One byte past maxFrame is counted and not
+// delivered; maxFrame itself is delivered.
+func TestInlineRxBoundedLikeReferences(t *testing.T) {
+	r := newRig(t)
+	var got []int
+	if _, err := r.k.Net.UDPBind(80, func(p []byte, _ netstack.IP, _ uint16) { got = append(got, len(p)) }); err != nil {
+		t.Fatal(err)
+	}
+	inline := func(n int) {
+		frame := netstack.AppendUDPFrame(nil, netstack.MAC{9}, netstack.MAC(mac),
+			netstack.IP{1}, netstack.IP{2}, 1, 80, make([]byte, n-netstack.EthHeaderLen-28))
+		if len(frame) != n {
+			t.Fatalf("built a %d-byte frame, want %d", len(frame), n)
+		}
+		r.p.HandleDowncall(0, uchan.Msg{Op: OpNetifRx, Data: frame, Args: [6]uint64{0, uint64(n)}})
+	}
+	inline(maxFrame + 1)
+	if r.p.RxBadLength != 1 || len(got) != 0 {
+		t.Fatalf("oversized inline frame: %d bad lengths, payloads %v delivered", r.p.RxBadLength, got)
+	}
+	inline(maxFrame)
+	if r.p.RxBadLength != 1 || len(got) != 1 {
+		t.Fatalf("maxFrame inline frame: %d bad lengths, payloads %v delivered", r.p.RxBadLength, got)
+	}
+}
+
+// TestRxQueueFenceDropsParkedQueue runs the net RX queue fence: while queue
+// 1 is parked, the batch it delivers is dropped and counted by the proxy
+// (before the netstack's own parked-queue drop could see it) and queue 0's
+// batch lands; once queue 1 is re-armed, its batches land again.
+func TestRxQueueFenceDropsParkedQueue(t *testing.T) {
+	r := newRigQ(t, 2)
+	delivered := 0
+	if _, err := r.k.Net.UDPBind(80, func([]byte, netstack.IP, uint16) { delivered++ }); err != nil {
+		t.Fatal(err)
+	}
+	frame := netstack.AppendUDPFrame(nil, netstack.MAC{9}, netstack.MAC(mac),
+		netstack.IP{1}, netstack.IP{2}, 1, 80, []byte("ok"))
+	alloc := r.df.Allocs()[0]
+	r.m.Mem.MustWrite(alloc.Phys, frame)
+	batch := AppendRxBatch(nil, []RxRef{{IOVA: uint64(alloc.IOVA), Len: uint32(len(frame))}})
+	deliver := func() {
+		for q := 0; q < 2; q++ {
+			r.p.HandleDowncall(q, uchan.Msg{Op: OpNetifRxBatch, Data: batch})
+		}
+	}
+	r.p.ParkQueue(1)
+	r.p.Ifc.BeginQueueRecovery(1)
+	deliver()
+	if delivered != 1 || r.p.RxStaleQueueEpoch != 1 || r.p.Ifc.Queue(1).ParkedRxDrops != 0 {
+		t.Fatalf("parked: delivered %d, proxy drops %d, netstack drops %d; want 1, 1, 0",
+			delivered, r.p.RxStaleQueueEpoch, r.p.Ifc.Queue(1).ParkedRxDrops)
+	}
+	r.p.RearmQueue(1)
+	if _, err := r.p.Ifc.CompleteQueueRecovery(1); err != nil {
+		t.Fatal(err)
+	}
+	deliver()
+	if delivered != 3 || r.p.RxStaleQueueEpoch != 1 || r.p.QueueEpochMirror(1) != r.p.Ifc.QueueEpoch(1) {
+		t.Fatalf("re-armed: delivered %d, proxy drops %d, mirror %d of epoch %d",
+			delivered, r.p.RxStaleQueueEpoch, r.p.QueueEpochMirror(1), r.p.Ifc.QueueEpoch(1))
 	}
 }

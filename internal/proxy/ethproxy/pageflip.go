@@ -15,23 +15,13 @@ package ethproxy
 // TOCTOU property never depends on driver cooperation.
 
 import (
-	"slices"
-
 	"sud/internal/mem"
-	"sud/internal/proxy/protocol"
 	"sud/internal/sim"
 	"sud/internal/trace"
-	"sud/internal/uchan"
 )
 
 // slotsPerPage is how many RX buffer slots tile one page.
 const slotsPerPage = mem.PageSize / RxSlotSize
-
-// recycleThreshold is how many flipped pages accumulate on a queue before
-// the proxy remaps them and sends one recycle upcall. Small against the
-// driver's ring (128 pages/queue for the e1000e geometry) so the pool never
-// starves, large enough that recycle costs amortise.
-const recycleThreshold = 16
 
 // pageGroup collects one page's slot-packed references in a batch.
 type pageGroup struct {
@@ -96,8 +86,7 @@ func (p *Proxy) netifRxBatchFlip(q int, refs []RxRef) {
 				for slot := 0; slot < slotsPerPage; slot++ {
 					r := g.refs[slot]
 					n := int(r.Len)
-					if n > maxFrame {
-						p.RxBadLength++
+					if !p.lengthOK(n) {
 						continue
 					}
 					view, ok := p.K.Mem.Slice(phys+mem.Addr(slot*RxSlotSize), n)
@@ -130,12 +119,9 @@ func (p *Proxy) netifRxBatchFlip(q int, refs []RxRef) {
 		// page-aware driver re-arms descriptors only on recycle, so the
 		// recycle lane doubles as the ownership token for pages whose
 		// frames went through the guard-copy fallback. A page whose slots
-		// straddle batches is pending once (the list is flushed at
-		// recycleThreshold, so the scan is short); the FIFO append order
-		// matches the driver's descriptor consumption order.
-		if !slices.Contains(p.pendingRecycle[q], uint64(g.iova)) {
-			p.pendingRecycle[q] = append(p.pendingRecycle[q], uint64(g.iova))
-		}
+		// straddle batches is lent once; the lane's FIFO order matches the
+		// driver's descriptor consumption order.
+		p.Lend(q, uint64(g.iova))
 	}
 	for _, r := range loose[:nl] {
 		p.netifRx(q, mem.Addr(r.IOVA), int(r.Len))
@@ -145,55 +131,5 @@ func (p *Proxy) netifRxBatchFlip(q int, refs []RxRef) {
 		p.K.Acct.Charge(sim.CostIOTLBShootdown)
 		p.Shootdowns++
 	}
-	if len(p.pendingRecycle[q]) >= recycleThreshold {
-		p.flushRecycleQ(q)
-	}
-}
-
-// flushRecycleQ remaps queue q's pending flipped pages back into the
-// driver's domain and returns them in one recycle upcall.
-func (p *Proxy) flushRecycleQ(q int) {
-	pending := p.pendingRecycle[q]
-	if len(pending) == 0 {
-		return
-	}
-	p.pendingRecycle[q] = p.pendingRecycle[q][:0]
-	for start := 0; start < len(pending); start += protocol.MaxRecyclePages {
-		end := start + protocol.MaxRecyclePages
-		if end > len(pending) {
-			end = len(pending)
-		}
-		var buf [protocol.MaxRecyclePages]uint64
-		returned := buf[:0]
-		for _, page := range pending[start:end] {
-			if p.DF.PageRevoked(mem.Addr(page)) {
-				// RecyclePage fails only if the device file is gone —
-				// the driver died and teardown reclaimed the page;
-				// nothing to return then.
-				if err := p.DF.RecyclePage(mem.Addr(page)); err != nil {
-					continue
-				}
-				p.K.Acct.Charge(sim.CostPageRecycleMap)
-			}
-			// A page that never flipped (guard-copied slots) is returned
-			// without a remap: it never left the driver's domain, the
-			// message only hands back re-arm ownership.
-			returned = append(returned, page)
-		}
-		if len(returned) == 0 {
-			continue
-		}
-		var frame [protocol.MaxRecycleLen]byte
-		err := p.C.ASend(q, uchan.Msg{
-			Op:   OpPageRecycle,
-			Data: protocol.AppendRecycle(frame[:0], uint32(p.epoch), returned),
-		})
-		if err != nil {
-			// The pages are back in the driver's domain either way; a
-			// hung ring just means the driver never re-arms them.
-			p.UpcallErrors++
-			continue
-		}
-		p.RecycleUpcalls++
-	}
+	p.MaybeFlush(q)
 }

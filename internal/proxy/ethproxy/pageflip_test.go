@@ -82,9 +82,7 @@ func refRxBatchFlip(p *Proxy, q int, refs []RxRef) {
 				}
 			}
 		}
-		if !slices.Contains(p.pendingRecycle[q], uint64(g.iova)) {
-			p.pendingRecycle[q] = append(p.pendingRecycle[q], uint64(g.iova))
-		}
+		p.Lend(q, uint64(g.iova))
 	}
 	for _, r := range loose {
 		p.netifRx(q, mem.Addr(r.IOVA), int(r.Len))
@@ -93,9 +91,7 @@ func refRxBatchFlip(p *Proxy, q int, refs []RxRef) {
 		p.K.Acct.Charge(sim.CostIOTLBShootdown)
 		p.Shootdowns++
 	}
-	if len(p.pendingRecycle[q]) >= recycleThreshold {
-		p.flushRecycleQ(q)
-	}
+	p.MaybeFlush(q)
 }
 
 // flipPoolPages is the size of a flip rig's RX pool, in pages.
@@ -146,8 +142,8 @@ func (r *flipRig) state() string {
 		p.RxQueueFrames, p.RxQueueBatches, p.RxInvalidRef, p.RxBadLength, p.RxRevokedRef, p.PagesFlipped,
 		p.Shootdowns, p.GuardCopiedBytes, p.RecycleUpcalls, p.UpcallErrors)
 	fmt.Fprintf(&b, "df revoked %d faults %d\n", r.df.RevokedPages(), r.df.RevokedFaults)
-	for q := range p.pendingRecycle {
-		fmt.Fprintf(&b, "q%d pending %x stack frames %d\n", q, p.pendingRecycle[q], p.Ifc.Queue(q).RxFrames)
+	for q := 0; q < p.NumQueues(); q++ {
+		fmt.Fprintf(&b, "q%d pending %x stack frames %d\n", q, p.Lent(q), p.Ifc.Queue(q).RxFrames)
 	}
 	return b.String()
 }
@@ -242,8 +238,8 @@ func FuzzRxBatchFlip(f *testing.F) {
 			}
 		}
 		for q := 0; q < got.p.C.NumQueues(); q++ {
-			got.p.flushRecycleQ(q)
-			want.p.flushRecycleQ(q)
+			got.p.FlushRecycle(q)
+			want.p.FlushRecycle(q)
 		}
 		got.m.Loop.RunFor(sim.Millisecond)
 		want.m.Loop.RunFor(sim.Millisecond)
@@ -271,9 +267,9 @@ func TestRxBatchFlipCoversEveryPath(t *testing.T) {
 		r.p.netifRxBatchFlip(qs[i], refs)
 	}
 	p := r.p
-	if p.PagesFlipped != 1 || p.GuardCopiedBytes == 0 || p.RxInvalidRef != 1 || len(p.pendingRecycle[0]) != 3 {
+	if p.PagesFlipped != 1 || p.GuardCopiedBytes == 0 || p.RxInvalidRef != 1 || len(p.Lent(0)) != 3 {
 		t.Fatalf("flipped %d, copied %d B, invalid %d, pending %x",
-			p.PagesFlipped, p.GuardCopiedBytes, p.RxInvalidRef, p.pendingRecycle[0])
+			p.PagesFlipped, p.GuardCopiedBytes, p.RxInvalidRef, p.Lent(0))
 	}
 	if len(r.log) != 3 {
 		t.Fatalf("deliveries %q, want 3", r.log)

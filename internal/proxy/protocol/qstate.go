@@ -40,7 +40,9 @@ const (
 // MaxQStateQueue bounds the queue index one frame may name.
 const MaxQStateQueue = 255
 
-const qstateSize = 2 + 4 + 1
+// QStateLen is the length of one qstate frame: a sender encodes into a
+// buffer of this size without growing it.
+const QStateLen = 2 + 4 + 1
 
 // QState is one decoded per-queue epoch transition.
 type QState struct {
@@ -62,28 +64,26 @@ var (
 	ErrQStateFlags = errors.New("protocol: qstate flags invalid")
 )
 
-// EncodeQState encodes one queue-epoch transition. Panics on out-of-range
-// values — senders control their own frames; only decoders face untrusted
-// input.
-func EncodeQState(s QState) []byte {
+// AppendQState appends the frame for one queue-epoch transition to dst and
+// returns the extended slice. Panics on out-of-range values — senders
+// control their own frames; only decoders face untrusted input.
+func AppendQState(dst []byte, s QState) []byte {
 	if s.Queue < 0 || s.Queue > MaxQStateQueue {
 		panic("protocol: qstate queue out of range")
 	}
 	if !validQStateFlags(s.Flags) {
 		panic("protocol: qstate flags invalid")
 	}
-	buf := make([]byte, qstateSize)
-	binary.LittleEndian.PutUint16(buf[0:], uint16(s.Queue))
-	binary.LittleEndian.PutUint32(buf[2:], s.Epoch)
-	buf[6] = s.Flags
-	return buf
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(s.Queue))
+	dst = binary.LittleEndian.AppendUint32(dst, s.Epoch)
+	return append(dst, s.Flags)
 }
 
 // DecodeQState defensively decodes a qstate frame from the shared ring.
 // Every structural violation is an error; the caller counts it against the
 // peer and drops the frame.
 func DecodeQState(buf []byte) (QState, error) {
-	if len(buf) != qstateSize {
+	if len(buf) != QStateLen {
 		return QState{}, ErrQStateSize
 	}
 	s := QState{

@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 )
@@ -14,7 +15,7 @@ func TestQStateRoundTrip(t *testing.T) {
 		{Queue: MaxQStateQueue, Epoch: ^uint32(0), Flags: QStateArmed},
 	}
 	for _, c := range cases {
-		got, err := DecodeQState(EncodeQState(c))
+		got, err := DecodeQState(AppendQState(nil, c))
 		if err != nil {
 			t.Fatalf("decode(%+v): %v", c, err)
 		}
@@ -30,13 +31,13 @@ func TestQStateRoundTrip(t *testing.T) {
 // TestQStateRejectsMalformed covers the defensive decode paths a hostile or
 // corrupted ring peer can hit.
 func TestQStateRejectsMalformed(t *testing.T) {
-	good := EncodeQState(QState{Queue: 1, Epoch: 2, Flags: QStateArmed})
+	good := AppendQState(nil, QState{Queue: 1, Epoch: 2, Flags: QStateArmed})
 	cases := map[string]struct {
 		buf  []byte
 		want error
 	}{
 		"nil":       {nil, ErrQStateSize},
-		"short":     {good[:qstateSize-1], ErrQStateSize},
+		"short":     {good[:QStateLen-1], ErrQStateSize},
 		"slack":     {append(append([]byte{}, good...), 0xEE), ErrQStateSize},
 		"noflags":   {[]byte{1, 0, 0, 0, 0, 0, 0}, ErrQStateFlags},
 		"bothflags": {[]byte{1, 0, 0, 0, 0, 0, QStateParked | QStateArmed}, ErrQStateFlags},
@@ -61,32 +62,50 @@ func TestQStateRejectsMalformed(t *testing.T) {
 					t.Errorf("encode(%+v) did not panic", bad)
 				}
 			}()
-			EncodeQState(bad)
+			AppendQState(nil, bad)
 		}()
 	}
 }
 
 // FuzzDecodeQState drives the defensive decoder with arbitrary ring bytes:
 // it must never panic, and every accepted frame must re-encode to the exact
-// input (the codec is canonical).
+// input (the codec is canonical), also into a reused, garbage-filled
+// buffer.
 func FuzzDecodeQState(f *testing.F) {
 	f.Add([]byte(nil))
-	f.Add(EncodeQState(QState{Queue: 0, Epoch: 0, Flags: QStateParked}))
-	f.Add(EncodeQState(QState{Queue: MaxQStateQueue, Epoch: ^uint32(0), Flags: QStateArmed}))
+	f.Add(AppendQState(nil, QState{Queue: 0, Epoch: 0, Flags: QStateParked}))
+	f.Add(AppendQState(nil, QState{Queue: MaxQStateQueue, Epoch: ^uint32(0), Flags: QStateArmed}))
 	f.Add([]byte{1, 0, 0, 0, 0, 0, QStateParked | QStateArmed})
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		s, err := DecodeQState(buf)
 		if err != nil {
 			return
 		}
-		out := EncodeQState(s)
-		if len(out) != len(buf) {
-			t.Fatalf("canonical length %d != input %d", len(out), len(buf))
+		if !bytes.Equal(AppendQState(nil, s), buf) {
+			t.Fatal("decode/encode mismatch")
 		}
-		for i := range out {
-			if out[i] != buf[i] {
-				t.Fatalf("re-encode differs at byte %d", i)
-			}
+		reused := bytes.Repeat([]byte{0xEE}, QStateLen)
+		if !bytes.Equal(AppendQState(reused[:0], s), buf) {
+			t.Fatal("encode into a reused buffer differs")
 		}
 	})
+}
+
+// TestQStateCodecAllocatesNothing pins the park and armed frames to caller
+// storage: encoding into a QStateLen array and decoding allocate nothing.
+func TestQStateCodecAllocatesNothing(t *testing.T) {
+	in := QState{Queue: 3, Epoch: 9, Flags: QStateArmed}
+	var frame [QStateLen]byte
+	var out QState
+	if a := testing.AllocsPerRun(100, func() {
+		var err error
+		if out, err = DecodeQState(AppendQState(frame[:0], in)); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Fatalf("qstate encode+decode allocates %v times", a)
+	}
+	if out != in {
+		t.Fatalf("round trip through caller storage gave %+v", out)
+	}
 }

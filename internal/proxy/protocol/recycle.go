@@ -24,7 +24,7 @@ import (
 // batch framing.
 
 // MaxRecyclePages bounds one recycle frame. The proxies flush well below
-// this (recycleThreshold); the bound is what the decoder enforces.
+// this (qcore.RecycleThreshold); the bound is what the decoder enforces.
 const MaxRecyclePages = 64
 
 const recycleHdrSize = 2 + 4

@@ -28,11 +28,11 @@ func Fig5Components() []Fig5Component {
 		{Name: "Wireless proxy driver", Dirs: []string{"internal/proxy/wifiproxy"}, PaperLoC: 600},
 		{Name: "Audio card proxy driver", Dirs: []string{"internal/proxy/audioproxy"}, PaperLoC: 550},
 		{Name: "USB host proxy driver", Dirs: []string{"internal/proxy/usbproxy"}, PaperLoC: 0},
-		// The framing codecs and guard helpers every proxy class links;
-		// counted so code moved between a proxy and this shared core
-		// reads as a move, not a deletion. Paper column 0: its proxies
-		// carried their own.
-		{Name: "Shared proxy framing and guards", Dirs: []string{"internal/proxy/protocol", "internal/proxy/guard"}, PaperLoC: 0},
+		// The framing codecs, guard helpers and per-queue core the proxy
+		// classes link; counted so code moved between a proxy and this
+		// shared core reads as a move, not a deletion. Paper column 0:
+		// its proxies carried their own.
+		{Name: "Shared proxy framing and guards", Dirs: []string{"internal/proxy/protocol", "internal/proxy/guard", "internal/proxy/qcore"}, PaperLoC: 0},
 		// The block class is beyond the paper (its prototype had no
 		// storage drivers); the paper column is 0 by construction.
 		{Name: "Block proxy driver", Dirs: []string{"internal/proxy/blkproxy"}, PaperLoC: 0},

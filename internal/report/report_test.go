@@ -1,6 +1,8 @@
 package report
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -48,6 +50,22 @@ func TestFig5CountsComponents(t *testing.T) {
 	out := FormatFig5(comps)
 	if !strings.Contains(out, "Figure 5") || !strings.Contains(out, "2800") {
 		t.Fatalf("format output:\n%s", out)
+	}
+	// Every trusted proxy package is counted, and counted once.
+	rows := map[string]int{}
+	for _, c := range comps {
+		for _, d := range c.Dirs {
+			rows[d]++
+		}
+	}
+	ents, err := os.ReadDir(filepath.Join(root, "internal", "proxy"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if d := "internal/proxy/" + e.Name(); e.IsDir() && rows[d] != 1 {
+			t.Errorf("%s is in %d Figure 5 rows, want 1", d, rows[d])
+		}
 	}
 }
 

@@ -269,7 +269,7 @@ func TestSUDBlockReadDataStableUnderSlotReuse(t *testing.T) {
 			}
 		}
 		// Far more outstanding than one queue's 64-deep hardware queue, so
-		// submissions hold in pendingBlk and drain on completion IRQs.
+		// submissions wait in the hold queue and drain on completion IRQs.
 		for j := uint64(0); j < 160; j++ {
 			issue(j)
 		}

@@ -39,14 +39,14 @@ func TestHeldFlushSurvivesRingReuse(t *testing.T) {
 
 	// A submission the hardware queue had no room for is waiting, so the
 	// barrier behind it is held too.
-	p.pendingBlk[0].Push(uchan.Msg{Op: blkproxy.OpSubmit, Args: [6]uint64{0, 0, 0, 0, 0, 1 << 40}})
+	p.hold[0].msgs.Push(uchan.Msg{Op: blkproxy.OpSubmit, Args: [6]uint64{0, 0, 0, 0, 0, 1 << 40}})
 	flushed := false
 	if err := dev.Flush(func(err error) { flushed = err == nil }); err != nil {
 		t.Fatal(err)
 	}
 	m.Loop.RunFor(60 * sim.Microsecond)
-	if p.pendingBlk[0].Len() != 2 || p.pendingBlk[0].Peek().Op != blkproxy.OpSubmit {
-		t.Fatalf("hold queue holds %d messages, want the submission and the barrier", p.pendingBlk[0].Len())
+	if p.hold[0].msgs.Len() != 2 || p.hold[0].msgs.Peek().Op != blkproxy.OpSubmit {
+		t.Fatalf("hold queue holds %d messages, want the submission and the barrier", p.hold[0].msgs.Len())
 	}
 	// Later upcalls (of an op no block upcall uses) overwrite the ring
 	// storage the barrier's frame sat in.

@@ -378,10 +378,9 @@ func (s *Supervisor) observeEvidence() bool {
 		if p.Blk != nil {
 			ev.BarrierViolations = p.Blk.BarrierViolations()
 			ev.FlushesAcked = p.Blk.FlushesAcked
-			ev.StaleEpoch += p.Blk.CompStaleEpoch
 		}
-		if p.Eth != nil {
-			ev.StaleEpoch += p.Eth.StaleEpochDowncalls()
+		if p.qp != nil {
+			ev.StaleEpoch += p.qp.StaleEpochDowncalls()
 		}
 		if p.DF != nil {
 			ev.StormTrips = p.DF.StormResponses
@@ -490,11 +489,9 @@ func (s *Supervisor) surgical(q int, faults uint64) {
 	}
 	// Park: proxy first (advisory epoch frame to the runtime), then the
 	// kernel object (epoch bump + drain watermark, records FPark).
-	if s.proc.Blk != nil {
-		s.proc.Blk.ParkQueue(q)
-	}
-	if s.proc.Eth != nil {
-		s.proc.Eth.ParkQueue(q)
+	qp := s.proc.qp
+	if qp != nil {
+		qp.ParkQueue(q)
 	}
 	for _, rd := range s.recoverables() {
 		rd.BeginQueueRecovery(q)
@@ -515,11 +512,8 @@ func (s *Supervisor) surgical(q int, faults uint64) {
 	if err := s.proc.DF.RearmQueueDMA(q + 1); err != nil {
 		s.K.Logf("supervisor: %s q%d DMA re-arm failed: %v", s.Name, q, err)
 	}
-	if s.proc.Blk != nil {
-		s.proc.Blk.RearmQueue(q)
-	}
-	if s.proc.Eth != nil {
-		s.proc.Eth.RearmQueue(q)
+	if qp != nil {
+		qp.RearmQueue(q)
 	}
 	replayed := 0
 	for _, rd := range s.recoverables() {
@@ -706,14 +700,8 @@ func (s *Supervisor) completeRecovery() {
 // supervisor's running total before its proxies are replaced (evidence for
 // the policy plane: a flood means a zombie replaying traffic).
 func (s *Supervisor) harvestStale(p *Process) {
-	if p == nil {
-		return
-	}
-	if p.Blk != nil {
-		s.staleHarvest += p.Blk.CompStaleEpoch
-	}
-	if p.Eth != nil {
-		s.staleHarvest += p.Eth.StaleEpochDowncalls()
+	if p != nil && p.qp != nil {
+		s.staleHarvest += p.qp.StaleEpochDowncalls()
 	}
 }
 

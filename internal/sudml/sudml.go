@@ -75,6 +75,7 @@ type Process struct {
 	Wifi       *wifiproxy.Proxy
 	Audio      *audioproxy.Proxy
 	Blk        *blkproxy.Proxy
+	qp         queueProxy // Eth or Blk: what the supervisor parks and re-arms
 	irqHandler func()
 	ki         *ethproxy.KernelIface
 
@@ -88,19 +89,16 @@ type Process struct {
 	// byte) to bus addresses, enabling zero-copy netif_rx.
 	sliceAddrs map[*byte]mem.Addr
 
-	// pendingTx holds, per queue, transmit upcalls the driver's TX ring
-	// had no room for; they drain after descriptor reclaim (interrupt
-	// handling), or when the queue's txRetry timer fires.
-	pendingTx []fifo.Queue[uchan.Msg]
-	txRetry   []sim.Event
-
-	// pendingBlk holds, per queue, block submissions the driver's
-	// hardware queue had no room for; they drain after completion
-	// processing, exactly like pendingTx. A held flush barrier keeps its
+	// hold is, per ring, the upcalls the driver's hardware queue had no
+	// room for: transmits or block submissions, since a process drives
+	// one class. They drain after the interrupt handler reclaims space,
+	// or when the ring's retry timer fires. A held flush barrier keeps its
 	// frame decoded in Args (see handleBlkSubmit), because an upcall's
-	// Data is valid only while it is handled.
-	pendingBlk []fifo.Queue[uchan.Msg]
-	blkRetry   []sim.Event
+	// Data is valid only while it is handled. tryHeld and dropHeld are the
+	// class's, bound when it registers (bindHold).
+	hold     []holdQ
+	tryHeld  func(q int, m uchan.Msg) bool
+	dropHeld func(q int, m uchan.Msg)
 
 	// recycleAddrs is handleRecycle's scratch for the page list it hands
 	// the driver's PageRecycler, which must not keep it past the call.
@@ -174,6 +172,20 @@ type Process struct {
 	standby bool
 
 	killed bool
+}
+
+// queueProxy is what the supervisor drives on the process's multi-queue
+// class proxy: the surgical park and re-arm, and the stale-epoch evidence.
+type queueProxy interface {
+	ParkQueue(q int)
+	RearmQueue(q int)
+	StaleEpochDowncalls() uint64
+}
+
+// holdQ is one ring's hold queue and its retry timer.
+type holdQ struct {
+	msgs  fifo.Queue[uchan.Msg]
+	retry sim.Event
 }
 
 // Standby reports whether the process is an unactivated hot-standby shell.
@@ -254,18 +266,11 @@ func newShellQ(k *kernel.Kernel, dev pci.Device, drv api.Driver, name string, ui
 		QueueAccts: accts,
 		driver:     drv,
 		sliceAddrs: make(map[*byte]mem.Addr),
-		pendingTx:  make([]fifo.Queue[uchan.Msg], len(accts)),
-		txRetry:    make([]sim.Event, len(accts)),
+		hold:       make([]holdQ, len(accts)),
 		rxBatch:    make([][]ethproxy.RxRef, len(accts)),
-		pendingBlk: make([]fifo.Queue[uchan.Msg], len(accts)),
-		blkRetry:   make([]sim.Event, len(accts)),
 		blkComp:    make([][]blkproxy.CompRef, len(accts)),
 		flushMeta:  make(map[uint64]blkproxy.FlushOp),
 		qep:        make([]uint64, len(accts)),
-	}
-	for q := range accts {
-		p.txRetry[q].Fn = func() { p.retryPendingTx(q) }
-		p.blkRetry[q].Fn = func() { p.retryPendingBlk(q) }
 	}
 	ch.SetDriverHandler(p.dispatch)
 	ch.SetKernelHandler(p.routeDowncall)
@@ -362,7 +367,7 @@ func (p *Process) ArmBlockStandby(name string, geom api.BlockGeometry) error {
 	if err != nil {
 		return err
 	}
-	p.Blk = proxy
+	p.Blk, p.qp = proxy, proxy
 	return nil
 }
 
@@ -505,7 +510,8 @@ func (p *Process) dispatch(q int, m uchan.Msg) (uchan.Msg, bool) {
 		out, err := p.netdev.DoIoctl(uint32(m.Args[0]), m.Data)
 		return replyData(m, out, err)
 	case ethproxy.OpXmit:
-		p.handleXmit(q, m)
+		p.K.M.Trace.Event(trace.ClassNetTx, q, m.Args[2], trace.HopUchanDeq)
+		p.submitHeld(q, m)
 		return ack(m)
 	case ethproxy.OpPageRecycle:
 		p.handleRecycle(q, m, ethproxy.OpRecycleAck)
@@ -531,8 +537,9 @@ func (p *Process) dispatch(q int, m uchan.Msg) (uchan.Msg, bool) {
 		}
 		// The handler reclaimed TX descriptors (or drained block
 		// completion queues); feed held work in.
-		p.drainPendingTx()
-		p.drainPendingBlk()
+		for q := range p.hold {
+			p.drainHeld(q)
+		}
 		// RX frames the handler collected ride out as per-queue batches
 		// on the same drain that serviced the interrupt.
 		p.flushRxBatches()
@@ -649,7 +656,9 @@ func (p *Process) handleQueueEpoch(m uchan.Msg) {
 		return
 	}
 	p.qep[s.Queue] = uint64(s.Epoch)
-	p.pendingBlk[s.Queue].Clear()
+	if p.Blk != nil {
+		p.hold[s.Queue].msgs.Clear()
+	}
 	p.blkComp[s.Queue] = p.blkComp[s.Queue][:0]
 }
 
@@ -706,89 +715,97 @@ func replyData(m uchan.Msg, out []byte, err error) (uchan.Msg, bool) {
 	return r, ok
 }
 
-// xmitRetryDelay is the fallback pacing when held packets cannot ride on an
+// xmitRetryDelay is the fallback pacing when held work cannot ride on an
 // interrupt (the UML qdisc timer).
 const xmitRetryDelay = 100 * sim.Microsecond
 
-// maxPendingTx bounds the UML-side transmit hold queue.
+// maxPendingTx bounds each ring's hold queue.
 const maxPendingTx = uchan.RingSlots
 
-// handleXmit maps the shared TX slot and hands the frame to the driver's
-// hardware queue q. If that queue's device ring is full, the message is held
-// — slot unreleased — so a full ring backpressures the kernel through
-// shared-pool exhaustion instead of dropping packets and burning CPU on
-// doomed work. Hold queues and retry timers are per queue: one saturated
-// hardware queue never stalls a sibling's transmit path.
-func (p *Process) handleXmit(q int, m uchan.Msg) {
-	p.K.M.Trace.Event(trace.ClassNetTx, q, m.Args[2], trace.HopUchanDeq)
-	if p.pendingTx[q].Len() > 0 {
-		p.holdXmit(q, m)
-		return
-	}
-	if !p.tryXmit(q, m) {
-		p.holdXmit(q, m)
+// bindHold binds the registering class's try, drop and retry to the hold
+// queues, once.
+func (p *Process) bindHold(try func(int, uchan.Msg) bool, drop func(int, uchan.Msg), retry func(int)) {
+	p.tryHeld, p.dropHeld = try, drop
+	for q := range p.hold {
+		p.hold[q].retry.Fn = func() { retry(q) }
 	}
 }
 
-func (p *Process) holdXmit(q int, m uchan.Msg) {
-	if p.pendingTx[q].Len() >= maxPendingTx {
-		p.XmitRingDrops++
-		p.xmitDone(q, m.Args[2])
+// submitHeld hands upcall m to the driver's hardware queue q. Behind held
+// work, or when that queue is full, m is held — its slot unreleased — so a
+// full ring backpressures the kernel through shared-pool exhaustion instead
+// of dropping work and burning CPU on doomed retries; past maxPendingTx it
+// is dropped. Hold queues and retry timers are per ring: one saturated
+// hardware queue never stalls a sibling.
+func (p *Process) submitHeld(q int, m uchan.Msg) {
+	h := &p.hold[q]
+	if h.msgs.Len() == 0 && p.tryHeld(q, m) {
 		return
 	}
-	p.pendingTx[q].Push(m)
-	if !p.txRetry[q].Pending() {
-		p.K.M.Loop.ArmAfter(&p.txRetry[q], xmitRetryDelay)
+	if h.msgs.Len() >= maxPendingTx {
+		p.dropHeld(q, m)
+		return
+	}
+	h.msgs.Push(m)
+	p.armRetry(q)
+}
+
+// armRetry arms ring q's retry timer while work is held there.
+func (p *Process) armRetry(q int) {
+	if h := &p.hold[q]; h.msgs.Len() > 0 && !h.retry.Pending() {
+		p.K.M.Loop.ArmAfter(&h.retry, xmitRetryDelay)
 	}
 }
 
-func (p *Process) retryPendingTx(q int) {
+// drainHeld feeds ring q's held work to the (hopefully reclaimed) hardware
+// queue, in order.
+func (p *Process) drainHeld(q int) {
+	for h := &p.hold[q]; h.msgs.Len() > 0 && p.tryHeld(q, h.msgs.Peek()); {
+		h.msgs.Pop()
+	}
+}
+
+// retryXmit is the net retry timer's body.
+func (p *Process) retryXmit(q int) {
 	if p.killed {
 		return
 	}
 	p.QueueAccts[q].Charge(sim.CostUMLCall)
-	p.drainPendingTxQ(q)
+	p.drainHeld(q)
 	p.kickPending()
 	p.Chan.Flush()
-	if p.pendingTx[q].Len() > 0 && !p.txRetry[q].Pending() {
-		p.K.M.Loop.ArmAfter(&p.txRetry[q], xmitRetryDelay)
-	}
+	p.armRetry(q)
 }
 
-// drainPendingTx feeds every queue's held packets into the (hopefully
-// reclaimed) TX rings; the interrupt handler reclaims all rings at once.
-func (p *Process) drainPendingTx() {
-	for q := range p.pendingTx {
-		p.drainPendingTxQ(q)
+// retryBlk is the block retry timer's body: undelivered completion
+// references go out before held submissions reuse their slots (see the
+// OpInterrupt dispatch for the reuse hazard), and again after.
+func (p *Process) retryBlk(q int) {
+	if p.killed {
+		return
 	}
-}
-
-// drainPendingTxQ feeds queue q's held packets in order.
-func (p *Process) drainPendingTxQ(q int) {
-	for p.pendingTx[q].Len() > 0 {
-		if !p.tryXmit(q, p.pendingTx[q].Peek()) {
-			return
-		}
-		p.pendingTx[q].Pop()
-	}
+	p.QueueAccts[q].Charge(sim.CostUMLCall)
+	p.flushBlkComps()
+	p.Chan.Flush()
+	p.drainHeld(q)
+	p.kickPending()
+	p.flushBlkComps()
+	p.Chan.Flush()
+	p.armRetry(q)
 }
 
 // tryXmit attempts one transmit on hardware queue q; it reports false if the
 // ring was full (the message should be held). Invalid references complete
 // immediately.
 func (p *Process) tryXmit(q int, m uchan.Msg) bool {
-	iova := mem.Addr(m.Args[0])
-	n := int(m.Args[1])
-	phys, ok := p.DF.PhysFor(iova)
+	phys, ok := p.DF.PhysFor(mem.Addr(m.Args[0]))
 	if !ok {
-		p.XmitRingDrops++
-		p.xmitDone(q, m.Args[2])
+		p.dropXmit(q, m)
 		return true
 	}
-	frame, ok := p.K.M.Mem.Slice(phys, n)
+	frame, ok := p.K.M.Mem.Slice(phys, int(m.Args[1]))
 	if !ok {
-		p.XmitRingDrops++
-		p.xmitDone(q, m.Args[2])
+		p.dropXmit(q, m)
 		return true
 	}
 	var err error
@@ -805,6 +822,13 @@ func (p *Process) tryXmit(q int, m uchan.Msg) bool {
 	return true
 }
 
+// dropXmit credits a transmit the runtime cannot send, so the proxy
+// releases its slot.
+func (p *Process) dropXmit(q int, m uchan.Msg) {
+	p.XmitRingDrops++
+	p.xmitDone(q, m.Args[2])
+}
+
 func (p *Process) xmitDone(q int, slot uint64) {
 	p.K.M.Trace.Event(trace.ClassNetTx, q, slot, trace.HopDrvComplete)
 	if err := p.Chan.DownQ(q, uchan.Msg{Op: ethproxy.OpXmitDone, Args: [6]uint64{slot}}); err != nil {
@@ -812,12 +836,9 @@ func (p *Process) xmitDone(q int, slot uint64) {
 	}
 }
 
-// handleBlkSubmit maps the submission's shared slot and hands the request
-// to the driver's hardware queue q. If that queue is full, the message is
-// held and retried after completion processing — the block mirror of
-// handleXmit, with per-queue hold queues so one saturated hardware queue
-// never stalls a sibling's submissions. A flush barrier's frame is decoded
-// here, while the upcall's Data is valid, and travels on in Args.
+// handleBlkSubmit hands one submission or flush barrier to the driver's
+// hardware queue q through its hold queue. A flush barrier's frame is
+// decoded here, while the upcall's Data is valid, and travels on in Args.
 func (p *Process) handleBlkSubmit(q int, m uchan.Msg) {
 	if m.Op == blkproxy.OpFlush {
 		fo, err := blkproxy.DecodeFlushOp(m.Data)
@@ -834,61 +855,7 @@ func (p *Process) handleBlkSubmit(q int, m uchan.Msg) {
 	} else {
 		p.K.M.Trace.Event(trace.ClassBlk, q, m.Args[5], trace.HopUchanDeq)
 	}
-	if p.pendingBlk[q].Len() > 0 {
-		p.holdBlkSubmit(q, m)
-		return
-	}
-	if !p.tryBlkSubmit(q, m) {
-		p.holdBlkSubmit(q, m)
-	}
-}
-
-func (p *Process) holdBlkSubmit(q int, m uchan.Msg) {
-	if p.pendingBlk[q].Len() >= maxPendingTx {
-		// Hold queue overflow: complete the request as a drop so the
-		// kernel's slot is released.
-		p.blkCompDone(q, m.Args[5], 1)
-		return
-	}
-	p.pendingBlk[q].Push(m)
-	if !p.blkRetry[q].Pending() {
-		p.K.M.Loop.ArmAfter(&p.blkRetry[q], xmitRetryDelay)
-	}
-}
-
-func (p *Process) retryPendingBlk(q int) {
-	if p.killed {
-		return
-	}
-	p.QueueAccts[q].Charge(sim.CostUMLCall)
-	// Deliver any undelivered completion references before reusing their
-	// slots (see the OpInterrupt dispatch for the reuse hazard).
-	p.flushBlkComps()
-	p.Chan.Flush()
-	p.drainPendingBlkQ(q)
-	p.kickPending()
-	p.flushBlkComps()
-	p.Chan.Flush()
-	if p.pendingBlk[q].Len() > 0 && !p.blkRetry[q].Pending() {
-		p.K.M.Loop.ArmAfter(&p.blkRetry[q], xmitRetryDelay)
-	}
-}
-
-// drainPendingBlk feeds every queue's held submissions into the (hopefully
-// drained) hardware queues; the interrupt handler polls all of them.
-func (p *Process) drainPendingBlk() {
-	for q := range p.pendingBlk {
-		p.drainPendingBlkQ(q)
-	}
-}
-
-func (p *Process) drainPendingBlkQ(q int) {
-	for p.pendingBlk[q].Len() > 0 {
-		if !p.tryBlkSubmit(q, p.pendingBlk[q].Peek()) {
-			return
-		}
-		p.pendingBlk[q].Pop()
-	}
+	p.submitHeld(q, m)
 }
 
 // tryBlkSubmit attempts one submission (or flush barrier) on hardware
@@ -911,16 +878,14 @@ func (p *Process) tryBlkSubmit(q int, m uchan.Msg) bool {
 		Tag:   m.Args[5],
 	}
 	if req.Write {
-		iova := mem.Addr(m.Args[2])
-		n := int(m.Args[3])
-		phys, ok := p.DF.PhysFor(iova)
+		phys, ok := p.DF.PhysFor(mem.Addr(m.Args[2]))
 		if !ok {
-			p.blkCompDone(q, req.Tag, 1)
+			p.blkCompDone(q, m)
 			return true
 		}
-		payload, ok := p.K.M.Mem.Slice(phys, n)
+		payload, ok := p.K.M.Mem.Slice(phys, int(m.Args[3]))
 		if !ok {
-			p.blkCompDone(q, req.Tag, 1)
+			p.blkCompDone(q, m)
 			return true
 		}
 		req.Data = payload
@@ -932,11 +897,12 @@ func (p *Process) tryBlkSubmit(q int, m uchan.Msg) bool {
 	return true
 }
 
-// blkCompDone reports a request finished with a bare status (no payload) —
-// used for kernel-side drops so the proxy releases the request's slot.
-func (p *Process) blkCompDone(q int, tag uint64, status uint16) {
+// blkCompDone completes submission m with a bare failure status (no
+// payload) — the runtime's drop path for a request it cannot submit — so
+// the proxy releases the request's slot.
+func (p *Process) blkCompDone(q int, m uchan.Msg) {
 	_ = p.Chan.DownQ(q, uchan.Msg{Op: blkproxy.OpComplete,
-		Args: [6]uint64{tag, uint64(status), 0, 0, p.qep[q]}})
+		Args: [6]uint64{m.Args[5], 1, 0, 0, p.qep[q]}})
 }
 
 // --- api.Env implementation ---------------------------------------------------
@@ -1104,7 +1070,8 @@ func (e *env) RegisterNetDev(name string, macAddr [6]byte, dev api.NetDevice) (a
 	if err != nil {
 		return nil, err
 	}
-	p.Eth = proxy
+	p.Eth, p.qp = proxy, proxy
+	p.bindHold(p.tryXmit, p.dropXmit, p.retryXmit)
 	return &umlNetKernel{p: p}, nil
 }
 
@@ -1185,6 +1152,7 @@ func (e *env) RegisterBlockDev(name string, geom api.BlockGeometry, dev api.Bloc
 				geom, p.Blk.Dev.Name, p.Blk.Dev.Geom)
 		}
 		p.blockdev = dev
+		p.bindHold(p.tryBlkSubmit, p.blkCompDone, p.retryBlk)
 		return &umlBlockKernel{p: p}, nil
 	}
 	if p.Blk != nil {
@@ -1199,7 +1167,8 @@ func (e *env) RegisterBlockDev(name string, geom api.BlockGeometry, dev api.Bloc
 	if err != nil {
 		return nil, err
 	}
-	p.Blk = proxy
+	p.Blk, p.qp = proxy, proxy
+	p.bindHold(p.tryBlkSubmit, p.blkCompDone, p.retryBlk)
 	return &umlBlockKernel{p: p}, nil
 }
 

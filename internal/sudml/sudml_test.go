@@ -333,3 +333,20 @@ func TestMaliciousBufferReferenceRejected(t *testing.T) {
 		t.Fatal("bad length not rejected")
 	}
 }
+
+// TestUnmappedXmitDroppedAndCredited: a transmit upcall naming memory
+// outside the process's DMA allocations is not sent. The runtime counts
+// the drop and credits the slot back, and the proxy refuses the credit for
+// a slot it never handed out.
+func TestUnmappedXmitDroppedAndCredited(t *testing.T) {
+	w := boot(t, hw.DefaultPlatform())
+	sent := w.nic.TxPackets
+	if err := w.proc.Chan.ASend(0, uchan.Msg{Op: ethproxy.OpXmit, Args: [6]uint64{uint64(hw.DRAMBase), 64, 3}}); err != nil {
+		t.Fatal(err)
+	}
+	w.m.Loop.RunFor(sim.Millisecond)
+	if w.proc.XmitRingDrops != 1 || w.nic.TxPackets != sent || w.proc.Eth.UpcallErrors != 1 {
+		t.Fatalf("drops %d, sent %d frames, proxy refused %d credits; want 1, 0, 1",
+			w.proc.XmitRingDrops, w.nic.TxPackets-sent, w.proc.Eth.UpcallErrors)
+	}
+}
